@@ -1228,9 +1228,13 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         );
     });
     {
-        let mut one = mzd_sim::RoundSimulator::new(cfg.clone(), 7).expect("valid");
+        // Event-engine hot path: the N = 27 round with the request arena
+        // and draw buffer preallocated to the round size
+        // (`with_capacity`), so the steady state is allocation-free —
+        // the contract asserted by crates/sim/tests/alloc_steady_state.rs.
+        let mut one = mzd_sim::RoundSimulator::with_capacity(cfg.clone(), 7, 27).expect("valid");
         sim.push(BenchEntry {
-            name: "simulate_round_n27",
+            name: "engine_round_n27",
             jobs: 1,
             ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
                 black_box(one.run_round(27));
@@ -1238,18 +1242,42 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         });
     }
     {
-        // Event-engine hot path: the same N = 27 round, but with the
-        // request arena and draw buffer preallocated to the round size
-        // (`with_capacity`), so the steady state is allocation-free —
-        // the contract asserted by crates/sim/tests/alloc_steady_state.rs.
-        // `simulate_round_n27` above is retained for artifact continuity
-        // with the pre-rewrite baselines.
-        let mut one = mzd_sim::RoundSimulator::with_capacity(cfg.clone(), 7, 27).expect("valid");
+        // One server round over stored content: the paper's 4-disk node
+        // at its admission limit (4 x 28 streams) reading 16 titles, so
+        // every fragment size comes from the titles' shared size tables
+        // rather than the server RNG. Titles outlast the timed rounds,
+        // and their tables are read through once up front, as a
+        // catalog's are after its first viewers: the entry times the
+        // steady-state table load, not first reads.
+        const TITLE_ROUNDS: u32 = 1 << 14;
+        let cfg = mzd_server::ServerConfig::paper_reference(4).expect("valid server config");
+        let mut server = mzd_server::VideoServer::new(cfg, 13).expect("valid server");
+        let titles: Vec<mzd_workload::ObjectSpec> = (0..16u64)
+            .map(|i| {
+                mzd_workload::ObjectSpec::new(
+                    format!("title-{i}"),
+                    SizeDistribution::paper_default(),
+                    TITLE_ROUNDS,
+                )
+                .expect("valid object")
+                .with_content_id(i + 1)
+            })
+            .collect();
+        for title in &titles {
+            for f in 0..TITLE_ROUNDS {
+                black_box(title.stored_fragment_size(f));
+            }
+        }
+        for k in 0..112 {
+            server
+                .open_stream(titles[k % titles.len()].clone())
+                .expect("112 streams fit the 4 x 28 limit");
+        }
         sim.push(BenchEntry {
-            name: "engine_round_n27",
+            name: "server_round_stored_4x28",
             jobs: 1,
             ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
-                black_box(one.run_round(27));
+                black_box(server.run_round());
             }),
         });
     }
@@ -1298,17 +1326,6 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             fleet.submit(object.clone()).expect("submit");
         }
         mzd_par::set_jobs(1); // run_round parallelizes node steps internally
-        sim.push(BenchEntry {
-            name: "cluster_dispatch_round_4n",
-            jobs: 1,
-            ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
-                black_box(fleet.run_round());
-            }),
-        });
-        // Every per-disk round in the fleet now routes through the event
-        // core, so this measures the same dispatch/step/fold cycle under
-        // its post-rewrite canonical name; `cluster_dispatch_round_4n`
-        // stays for continuity with the pre-rewrite artifact trail.
         sim.push(BenchEntry {
             name: "engine_fleet_dispatch_4n",
             jobs: 1,
@@ -1440,11 +1457,16 @@ pub fn bench_check(_: Budget) {
     let (core, sim) = measure_entries(budget);
     let fresh: Vec<&BenchEntry> = core.iter().chain(&sim).collect();
 
-    // The event-engine entries are load-bearing: they are the only
-    // timings of the post-rewrite hot path, so the catalog must always
-    // measure them at jobs = 1 (and the golden must carry them — a
-    // missing golden row fails below as MISSING).
-    for required in ["engine_round_n27", "engine_fleet_dispatch_4n"] {
+    // These entries are load-bearing: the event-engine rounds are the
+    // only timings of the post-rewrite hot path, and the stored-content
+    // server round the only timing of the memoised fragment sizes, so
+    // the catalog must always measure them at jobs = 1 (and the golden
+    // must carry them — a missing golden row fails below as MISSING).
+    for required in [
+        "engine_round_n27",
+        "server_round_stored_4x28",
+        "engine_fleet_dispatch_4n",
+    ] {
         assert!(
             fresh.iter().any(|e| e.name == required && e.jobs == 1),
             "bench catalog no longer measures {required} at jobs = 1"

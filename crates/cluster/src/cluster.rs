@@ -917,10 +917,10 @@ impl Cluster {
             }
             let pending = Pending {
                 seq,
-                object: ObjectSpec {
-                    rounds: remaining,
-                    ..e.object
-                },
+                object: e
+                    .object
+                    .with_rounds(remaining)
+                    .expect("an unfinished stream has rounds left"),
                 carried_glitches: meta.glitches,
                 migrated: true,
             };

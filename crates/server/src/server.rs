@@ -330,6 +330,10 @@ pub struct VideoServer {
     /// Scratch: per-disk cache keys being fetched by each batch slot
     /// (None for uncached requests).
     batch_keys: Vec<Vec<Option<FragmentKey>>>,
+    /// Scratch: per-disk work-ahead prefetch sizes for the current round.
+    extra_sizes: Vec<Vec<f64>>,
+    /// Scratch: per-disk cache keys of the work-ahead prefetches.
+    extra_keys: Vec<Vec<FragmentKey>>,
     metrics: ServerMetrics,
     /// Optional SLO layer: burn alerting, conformance, tracing.
     slo: Option<SloState>,
@@ -434,6 +438,8 @@ impl VideoServer {
             batch: vec![Vec::new(); disk_count],
             batch_sizes: vec![Vec::new(); disk_count],
             batch_keys: vec![Vec::new(); disk_count],
+            extra_sizes: vec![Vec::new(); disk_count],
+            extra_keys: vec![Vec::new(); disk_count],
             metrics: ServerMetrics::new(),
             slo: None,
             degrade,
@@ -1080,6 +1086,12 @@ impl VideoServer {
         for b in &mut self.batch_keys {
             b.clear();
         }
+        for b in &mut self.extra_sizes {
+            b.clear();
+        }
+        for b in &mut self.extra_keys {
+            b.clear();
+        }
         let trace_ts = self.trace_now_us();
         let round_us = (self.cfg.round_length * 1e6) as u64;
         let rung = self.degrade.as_ref().map_or(0, DegradeState::rung);
@@ -1188,8 +1200,6 @@ impl VideoServer {
         // objects ride each disk's post-sweep slack, best-effort (the
         // mandatory batch keeps priority). Dropped at degradation
         // rung 2+ — slack work is the cheapest load to shed.
-        let mut extra_sizes: Vec<Vec<f64>> = vec![Vec::new(); self.disks.len()];
-        let mut extra_keys: Vec<Vec<FragmentKey>> = vec![Vec::new(); self.disks.len()];
         if self.cfg.work_ahead > 0 && rung < RUNG_DROP_PREFETCH {
             if let Some(cache) = self.cache.as_ref() {
                 let mut queued = std::collections::HashSet::new();
@@ -1217,8 +1227,8 @@ impl VideoServer {
                             continue;
                         }
                         let d = self.layout.disk_of_fragment(s.start_disk, frag) as usize;
-                        extra_sizes[d].push(bytes);
-                        extra_keys[d].push(key);
+                        self.extra_sizes[d].push(bytes);
+                        self.extra_keys[d].push(key);
                     }
                 }
             }
@@ -1232,7 +1242,7 @@ impl VideoServer {
         for (d, sim) in self.disks.iter_mut().enumerate() {
             let sizes = &self.batch_sizes[d];
             self.metrics.queue_depth.record(sizes.len() as f64);
-            let (out, prefetched) = sim.run_round_sized_with_extras(sizes, &extra_sizes[d]);
+            let (out, prefetched) = sim.run_round_sized_with_extras(sizes, &self.extra_sizes[d]);
             if out.late {
                 self.metrics.round_overrun.inc();
                 if mzd_telemetry::events_enabled() {
@@ -1247,9 +1257,9 @@ impl VideoServer {
             }
             if prefetched.served > 0 {
                 let cache = self.cache.as_mut().expect("prefetch implies a cache");
-                for (&key, &bytes) in extra_keys[d]
+                for (&key, &bytes) in self.extra_keys[d]
                     .iter()
-                    .zip(&extra_sizes[d])
+                    .zip(&self.extra_sizes[d])
                     .take(prefetched.served)
                 {
                     cache.insert(key, bytes, rot_half + bytes * inv_rate);

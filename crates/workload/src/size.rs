@@ -161,6 +161,14 @@ impl SizeDistribution {
     /// `(content_seed, fragment)` alone — same arguments, same size, on
     /// any run — while following the same size law, so the analytic
     /// moments still describe the stored content.
+    ///
+    /// This is the one definition of a stored size, but each call seeds
+    /// an RNG and draws afresh. Hot paths read it through
+    /// [`ObjectSpec::stored_fragment_size`](crate::ObjectSpec::stored_fragment_size),
+    /// which memoises it in a table shared by every clone of the object
+    /// (8 bytes per stored fragment, filled once per cell with relaxed
+    /// atomics — deterministic because every writer stores these same
+    /// bits).
     #[must_use]
     pub fn sample_at(&self, content_seed: u64, fragment: u32) -> f64 {
         use rand::SeedableRng;
