@@ -35,7 +35,7 @@ fn bench_telemetry(c: &mut Criterion) {
         for i in 1..=10_000u32 {
             histogram.record(f64::from(i) * 1e-4);
         }
-        b.iter(|| histogram.quantile(black_box(0.99)));
+        b.iter(|| histogram.load().quantile(black_box(0.99)));
     });
 
     // Event emission with the sink disabled: the guard is the price every

@@ -76,7 +76,11 @@ commands:
                              or key=value pairs, e.g.
                              media=0.01:1,stall=0.002:0.05,retries=4,
                              gray=slow:1.6|flap:2:40:20|creep:40:400:2.5])
-  serve      round-based server on a Zipf catalog
+  serve      round-based server on a Zipf catalog; one node queues
+             requests beyond its admission limit, a fleet (--nodes N > 1)
+             rejects them. An unknown flag, or one the mode cannot
+             honour (--lease-rounds, --health and --gray-node need
+             --nodes N > 1; --slo needs a single node), is an error.
              (flags: --disks D --streams N --rounds R --seed S
               --objects K --object-rounds M --zipf SKEW
               --nodes N           [N > 1 serves a sharded fleet: N nodes
@@ -87,7 +91,7 @@ commands:
                                    whole-node outage of node zone%N]
               --lease-rounds L    [rounds of silence before a node is
                                    declared failed and its streams
-                                   migrate; default 3]
+                                   migrate; default 3; needs --nodes N]
               --health            [gray-failure detection: per-node
                                    suspicion scores over per-stream
                                    service times drive a probation ->
@@ -100,12 +104,15 @@ commands:
                                    needs --nodes N]
               --gray-node I       [the node carrying any gray=... shape
                                    in --fault-profile (mod N); other
-                                   members run it stripped; default 0]
+                                   members run it stripped; default 0;
+                                   needs --nodes N]
               --cache-bytes B --cache-policy lru|interval|cost
               --cache-safety S    [enables cache-aware admission]
-              --slo               [burn-rate + model-conformance monitor]
+              --slo               [burn-rate + model-conformance monitor;
+                                   single node only]
               --trace-out PATH    [per-stream causal trace, Chrome JSON;
-                                   implies --slo; with --nodes N the
+                                   on one node implies --slo; with
+                                   --nodes N the
                                    per-node traces are stitched under
                                    one root span per stream, so a
                                    migration reads as one causal chain]
@@ -129,7 +136,8 @@ commands:
               --profile-out PATH  [phase profile as collapsed stacks,
                                    flamegraph.pl/inferno compatible]
               --prom-out PATH     [Prometheus text exposition of the
-                                   metrics registry, written per round;
+                                   metrics registry, written per round
+                                   (any command writes it at exit);
                                    with --nodes N it also carries the
                                    fleet's node-labeled quantile-sketch
                                    series and merged fleet summaries])
@@ -146,7 +154,7 @@ commands:
              (flags: --bundle DIR | --fleet DIR  [a fleet bundle written
               by serve --nodes: cross-node timeline keyed by round, with
               the decomposition audited per node])
-  help       this text
+  help       this text (also --help, -h)
 
 common flags:
   --disk viking|single75|legacy|nextgen|synthetic2to1   (default viking)
@@ -166,6 +174,17 @@ observability:
   -v, --verbose        also stream events to stderr
   -q, --quiet          suppress the normal report on stdout (errors still
                        go to stderr; with -v, events still stream there)";
+
+/// Flags every command takes: the execution and observability flags
+/// `main` and [`crate::telemetry`] read.
+const GLOBAL_FLAGS: [&str; 6] = [
+    "jobs",
+    "verbose",
+    "quiet",
+    "metrics-out",
+    "events-out",
+    "prom-out",
+];
 
 /// Flags that take no value; presence means `true`.
 const BOOLEAN_FLAGS: [&str; 6] = [
@@ -196,7 +215,7 @@ pub fn parse(args: &[String]) -> Result<Parsed, CliError> {
         Some("analyze-trace") => Command::AnalyzeTrace,
         Some("report") => Command::Report,
         Some("postmortem") => Command::Postmortem,
-        Some("help") | None => Command::Help,
+        Some("help" | "--help" | "-h") | None => Command::Help,
         Some(other) => {
             return Err(CliError::Usage(format!(
                 "unknown command `{other}`\n\n{USAGE}"
@@ -297,16 +316,30 @@ impl Parsed {
         }
     }
 
-    /// Whether a flag was provided at all.
+    /// Whether a flag was provided at all (how presence-only flags such
+    /// as `--verbose` are read).
     #[must_use]
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
 
-    /// A boolean (presence-only) flag such as `--verbose`.
-    #[must_use]
-    pub fn flag(&self, name: &str) -> bool {
-        self.has(name)
+    /// Reject any flag outside `known` and the flags every command takes
+    /// (`--jobs` and the observability flags), so a typo is an error
+    /// rather than a silently ignored flag.
+    ///
+    /// # Errors
+    /// [`CliError::Usage`] naming the first unknown flag.
+    pub fn reject_unknown(&self, command: &str, known: &[&str]) -> Result<(), CliError> {
+        match self
+            .flags
+            .keys()
+            .find(|f| !known.contains(&f.as_str()) && !GLOBAL_FLAGS.contains(&f.as_str()))
+        {
+            None => Ok(()),
+            Some(flag) => Err(CliError::Usage(format!(
+                "`{command}` does not take --{flag} (see `mzd help`)"
+            ))),
+        }
     }
 
     /// A flag's value, if present (e.g. `--metrics-out PATH`).
@@ -342,6 +375,14 @@ mod tests {
     }
 
     #[test]
+    fn help_flags_mean_help() {
+        assert_eq!(parse(&v(&["--help"])).unwrap().command, Command::Help);
+        assert_eq!(parse(&v(&["-h"])).unwrap().command, Command::Help);
+        // Any other flag-like first word is still an unknown command.
+        assert!(matches!(parse(&v(&["--helpme"])), Err(CliError::Usage(_))));
+    }
+
+    #[test]
     fn serve_command_parses() {
         let p = parse(&v(&[
             "serve",
@@ -374,7 +415,7 @@ mod tests {
         assert_eq!(p.str_opt("out"), Some("r.html"));
         assert_eq!(p.str_opt("metrics"), None);
         let p = parse(&v(&["serve", "--slo", "--trace-out", "t.json"])).unwrap();
-        assert!(p.flag("slo"));
+        assert!(p.has("slo"));
         assert_eq!(p.str_opt("trace-out"), Some("t.json"));
     }
 
@@ -392,7 +433,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(p.str_opt("fault-profile"), Some("flaky"));
-        assert!(p.flag("degrade"));
+        assert!(p.has("degrade"));
         assert_eq!(p.u64_or("work-ahead", 0).unwrap(), 2);
     }
 
@@ -414,7 +455,7 @@ mod tests {
         assert_eq!(p.command, Command::Serve);
         assert_eq!(p.str_opt("postmortem-dir"), Some("/tmp/pm"));
         assert_eq!(p.u64_or("recorder-capacity", 64).unwrap(), 32);
-        assert!(p.flag("dump-on-exit"));
+        assert!(p.has("dump-on-exit"));
         assert_eq!(p.str_opt("profile-out"), Some("prof.folded"));
         assert_eq!(p.str_opt("prom-out"), Some("metrics.prom"));
         let p = parse(&v(&["postmortem", "--bundle", "/tmp/pm/b1"])).unwrap();

@@ -255,10 +255,47 @@ fn simulate(parsed: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
-#[allow(clippy::too_many_lines)]
-/// Build the per-server configuration the `serve` flags describe —
-/// shared by the single-node path and (as the per-node template) the
-/// `--nodes N` fleet path.
+/// Every flag `serve` reads in either mode, besides the execution and
+/// observability flags every command takes.
+const SERVE_FLAGS: [&str; 27] = [
+    "disk",
+    "disks",
+    "nodes",
+    "streams",
+    "rounds",
+    "seed",
+    "mean",
+    "sd",
+    "round",
+    "objects",
+    "object-rounds",
+    "zipf",
+    "cache-bytes",
+    "cache-policy",
+    "cache-safety",
+    "fault-profile",
+    "work-ahead",
+    "degrade",
+    "slo",
+    "trace-out",
+    "postmortem-dir",
+    "recorder-capacity",
+    "dump-on-exit",
+    "profile-out",
+    "lease-rounds",
+    "gray-node",
+    "health",
+];
+
+/// Flags only a fleet (`--nodes N > 1`) can honour.
+const FLEET_ONLY_FLAGS: [&str; 3] = ["health", "gray-node", "lease-rounds"];
+
+/// Flags only a single node can honour: fleet nodes run their own SLO
+/// monitors only under `--degrade`.
+const NODE_ONLY_FLAGS: [&str; 1] = ["slo"];
+
+/// Build the per-server configuration the `serve` flags describe — the
+/// single node itself, or the per-node template of a fleet.
 fn serve_server_config(parsed: &Parsed, disks: u32) -> Result<mzd_server::ServerConfig, CliError> {
     let mean = parsed.f64_or("mean", 200_000.0)?;
     let sd = parsed.f64_or("sd", 100_000.0)?;
@@ -289,7 +326,7 @@ fn serve_server_config(parsed: &Parsed, disks: u32) -> Result<mzd_server::Server
     }
     cfg.work_ahead = u32::try_from(parsed.u64_or("work-ahead", 0)?)
         .map_err(|_| CliError::Usage("--work-ahead is too large".into()))?;
-    if parsed.flag("degrade") {
+    if parsed.has("degrade") {
         cfg.degrade = Some(mzd_server::DegradeSettings::default());
     }
     Ok(cfg)
@@ -318,58 +355,158 @@ fn serve_catalog(parsed: &Parsed) -> Result<(Vec<ObjectSpec>, Zipf), CliError> {
     Ok((catalog, zipf))
 }
 
+/// What `serve` drives: the paper's single node, or (`--nodes N > 1`)
+/// a sharded fleet of them behind one dispatcher.
+enum Host {
+    Node(Box<mzd_server::VideoServer>),
+    Fleet(Box<mzd_cluster::Cluster>),
+}
+
+/// Per-round totals the `serve` report prints.
+#[derive(Default)]
+struct Tally {
+    stream_rounds: u64,
+    /// Glitches on the hosts' own disks (a fleet adds outage glitches).
+    glitches: u64,
+    completions: u64,
+    /// Requests a fleet at its composed capacity refused.
+    rejected: u64,
+    migrated: u64,
+    late_disks: u64,
+    /// Rounds in which at least one fleet node was declared failed.
+    failures: Vec<u64>,
+}
+
+impl Host {
+    fn active_streams(&self) -> usize {
+        match self {
+            Host::Node(server) => server.active_streams(),
+            Host::Fleet(fleet) => fleet.active_streams(),
+        }
+    }
+
+    /// Offer one request. A single node queues whatever it cannot admit
+    /// yet; a fleet refuses requests beyond its composed capacity.
+    fn offer(&mut self, object: ObjectSpec, tally: &mut Tally) {
+        match self {
+            Host::Node(server) => {
+                server.enqueue_stream(object);
+            }
+            Host::Fleet(fleet) => {
+                if let Ok(mzd_cluster::SubmitOutcome::Rejected { .. }) = fleet.submit(object) {
+                    tally.rejected += 1;
+                }
+            }
+        }
+    }
+
+    /// Run one round; returns how many streams finished play-out.
+    fn run_round(&mut self, tally: &mut Tally) -> usize {
+        match self {
+            Host::Node(server) => {
+                let report = server.run_round();
+                tally.glitches += report.glitched_streams.len() as u64;
+                report.completed_streams.len()
+            }
+            Host::Fleet(fleet) => {
+                let report = fleet.run_round();
+                tally.glitches += report.glitched_streams;
+                tally.migrated += report.migrations.len() as u64;
+                tally.late_disks += u64::from(report.late_disks);
+                if !report.failed_nodes.is_empty() {
+                    tally.failures.push(report.round);
+                }
+                report.completed.len()
+            }
+        }
+    }
+
+    /// Hand a fleet's node-labeled sketch series to the `--prom-out`
+    /// writer; they live on the cluster, not in the global registry.
+    fn publish_prom_appendix(&self) {
+        if let Host::Fleet(fleet) = self {
+            crate::telemetry::set_prom_appendix(fleet.sketches().render_prom());
+        }
+    }
+}
+
+/// `mzd serve`: one node of `--disks` disks, or with `--nodes N > 1` a
+/// fleet of N such nodes (consistent-hash placement, lease-timeout
+/// failure detection, the paper guarantee composed fleet-wide), under a
+/// constant offered load drawn from a Zipf catalog.
 fn serve(parsed: &Parsed) -> Result<String, CliError> {
     use rand::{rngs::StdRng, SeedableRng};
 
+    parsed.reject_unknown("serve", &SERVE_FLAGS)?;
     let disks = u32::try_from(parsed.u64_or("disks", 1)?)
         .map_err(|_| CliError::Usage("--disks is too large".into()))?;
     let nodes = u32::try_from(parsed.u64_or("nodes", 1)?)
         .map_err(|_| CliError::Usage("--nodes is too large".into()))?;
-    if nodes > 1 {
-        return serve_cluster(parsed, nodes, disks);
+    let (unsupported, mode) = if nodes > 1 {
+        (&NODE_ONLY_FLAGS[..], "a fleet (--nodes N > 1)")
+    } else {
+        (
+            &FLEET_ONLY_FLAGS[..],
+            "a single node (it needs --nodes N > 1)",
+        )
+    };
+    if let Some(flag) = unsupported.iter().find(|f| parsed.has(f)) {
+        return Err(CliError::Usage(format!(
+            "--{flag} is not supported on {mode}"
+        )));
     }
-    let streams = parsed.u64_or("streams", 28)?;
     let rounds = parsed.u64_or("rounds", 1200)?;
     let seed = parsed.u64_or("seed", 42)?;
-    let objects = usize::try_from(parsed.u64_or("objects", 16)?)
-        .map_err(|_| CliError::Usage("--objects is too large".into()))?;
-    let object_rounds = u32::try_from(parsed.u64_or("object-rounds", 600)?)
-        .map_err(|_| CliError::Usage("--object-rounds is too large".into()))?;
-    let skew = parsed.f64_or("zipf", 0.0)?;
-    let mean = parsed.f64_or("mean", 200_000.0)?;
-    let sd = parsed.f64_or("sd", 100_000.0)?;
-
+    let lease_rounds = u32::try_from(parsed.u64_or("lease-rounds", 3)?)
+        .map_err(|_| CliError::Usage("--lease-rounds is too large".into()))?;
     let cfg = serve_server_config(parsed, disks)?;
-    let degrade_enabled = parsed.flag("degrade");
+    let (catalog, zipf) = serve_catalog(parsed)?;
 
-    let sizes =
-        SizeDistribution::gamma(mean, sd * sd).map_err(|e| CliError::Execution(e.to_string()))?;
-    let catalog: Vec<ObjectSpec> = (0..objects)
-        .map(|i| {
-            ObjectSpec::new(format!("obj-{i}"), sizes.clone(), object_rounds)
-                .map(|o| o.with_content_id(i as u64 + 1))
-                .map_err(|e| CliError::Execution(e.to_string()))
-        })
-        .collect::<Result<_, _>>()?;
-    let zipf =
-        Zipf::new(catalog.len(), skew).map_err(|e| CliError::Usage(format!("--zipf: {e}")))?;
-    // The request-arrival RNG is deliberately separate from the server's
-    // seeded RNG so admission order does not perturb fragment sampling.
-    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
-
-    // The degradation ladder is driven by the burn-rate alert, so
-    // `--degrade` implies the SLO layer (like `--trace-out` does).
-    let slo_enabled = parsed.flag("slo") || parsed.has("trace-out") || degrade_enabled;
-    let target = cfg.target;
-    let mut server =
-        mzd_server::VideoServer::new(cfg, seed).map_err(|e| CliError::Execution(e.to_string()))?;
-    if slo_enabled {
-        let settings =
-            mzd_server::SloSettings::for_target(target).with_tracing(parsed.has("trace-out"));
-        server
-            .enable_slo(settings)
+    let mut host = if nodes > 1 {
+        let mut fleet_cfg = mzd_cluster::ClusterConfig::paper_reference(nodes, disks)
             .map_err(|e| CliError::Execution(e.to_string()))?;
-    }
+        fleet_cfg.node = cfg;
+        fleet_cfg.lease_rounds = lease_rounds;
+        fleet_cfg.gray_node = u32::try_from(parsed.u64_or("gray-node", 0)?)
+            .map_err(|_| CliError::Usage("--gray-node is too large".into()))?;
+        let mut fleet = mzd_cluster::Cluster::new(fleet_cfg, seed)
+            .map_err(|e| CliError::Execution(e.to_string()))?;
+        if parsed.has("health") {
+            fleet
+                .enable_health(mzd_health::HealthConfig::default())
+                .map_err(|e| CliError::Execution(e.to_string()))?;
+        }
+        // Cross-node trace stitching: one root span per stream at the
+        // dispatcher, adopted by every host it migrates across.
+        if parsed.has("trace-out") {
+            fleet
+                .enable_tracing()
+                .map_err(|e| CliError::Execution(e.to_string()))?;
+        }
+        Host::Fleet(Box::new(fleet))
+    } else {
+        // The degradation ladder is driven by the burn-rate alert, so
+        // `--degrade` implies the SLO layer (like `--trace-out` does).
+        let slo_enabled = parsed.has("slo") || parsed.has("trace-out") || parsed.has("degrade");
+        let target = cfg.target;
+        let mut server = mzd_server::VideoServer::new(cfg, seed)
+            .map_err(|e| CliError::Execution(e.to_string()))?;
+        if slo_enabled {
+            let settings =
+                mzd_server::SloSettings::for_target(target).with_tracing(parsed.has("trace-out"));
+            server
+                .enable_slo(settings)
+                .map_err(|e| CliError::Execution(e.to_string()))?;
+        }
+        Host::Node(Box::new(server))
+    };
+    // Default offered load: a node's paper limit, or the fleet's
+    // composed capacity — the largest population its guarantee covers.
+    let streams = match &host {
+        Host::Node(_) => parsed.u64_or("streams", 28)?,
+        Host::Fleet(fleet) => parsed.u64_or("streams", fleet.guarantee().fleet_capacity)?,
+    };
+
     if let Some(dir) = parsed.str_opt("postmortem-dir") {
         let capacity = usize::try_from(parsed.u64_or("recorder-capacity", 64)?)
             .map_err(|_| CliError::Usage("--recorder-capacity is too large".into()))?;
@@ -377,11 +514,20 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         settings.capacity = capacity.max(1);
         // Enough provenance for `mzd postmortem` to rebuild the analytic
         // model and rerun the exact configuration.
-        settings.config_echo = vec![
+        let mut echo = vec![
             ("disk".into(), parsed.str_or("disk", "viking").into()),
             ("disks".into(), disks.to_string()),
-            ("mean".into(), format!("{mean}")),
-            ("sd".into(), format!("{sd}")),
+        ];
+        if let Host::Fleet(_) = host {
+            echo.push(("nodes".into(), nodes.to_string()));
+            echo.push(("lease_rounds".into(), lease_rounds.to_string()));
+        }
+        echo.extend([
+            (
+                "mean".into(),
+                format!("{}", parsed.f64_or("mean", 200_000.0)?),
+            ),
+            ("sd".into(), format!("{}", parsed.f64_or("sd", 100_000.0)?)),
             ("round".into(), format!("{}", parsed.f64_or("round", 1.0)?)),
             ("seed".into(), seed.to_string()),
             ("streams".into(), streams.to_string()),
@@ -390,37 +536,45 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
                 "fault_profile".into(),
                 parsed.str_or("fault-profile", "").into(),
             ),
-        ];
-        let recorder = mzd_prof::Recorder::new(settings);
-        mzd_prof::install_panic_hook(recorder.clone());
-        server.attach_recorder(recorder);
+        ]);
+        settings.config_echo = echo;
+        match &mut host {
+            Host::Node(server) => {
+                let recorder = mzd_prof::Recorder::new(settings);
+                mzd_prof::install_panic_hook(recorder.clone());
+                server.attach_recorder(recorder);
+            }
+            // Correlated fleet postmortems: per-node recorders under
+            // `DIR/node-{i}/` plus the fleet manifest the triggers write.
+            Host::Fleet(fleet) => fleet.attach_recorders(&settings),
+        }
     }
-    let profiling = parsed.str_opt("profile-out").is_some();
+    let profiling = parsed.has("profile-out");
     if profiling {
         mzd_prof::reset_profile();
         mzd_prof::set_profiling(true);
     }
+
+    // The request-arrival RNG is deliberately separate from the server's
+    // seeded RNG so admission order does not perturb fragment sampling.
+    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
+    let mut tally = Tally::default();
     for _ in 0..streams {
-        let object = catalog[zipf.sample(&mut arrivals)].clone();
-        server.enqueue_stream(object);
+        host.offer(catalog[zipf.sample(&mut arrivals)].clone(), &mut tally);
     }
-    let mut glitches = 0u64;
-    let mut stream_rounds = 0u64;
-    let mut completions = 0u64;
     for _ in 0..rounds {
-        stream_rounds += server.active_streams() as u64;
-        let report = server.run_round();
-        glitches += report.glitched_streams.len() as u64;
+        tally.stream_rounds += host.active_streams() as u64;
+        let completed = host.run_round(&mut tally);
         // Constant offered load: every play-out completion re-draws a
         // fresh request from the popularity law.
-        for _ in &report.completed_streams {
-            completions += 1;
-            let object = catalog[zipf.sample(&mut arrivals)].clone();
-            server.enqueue_stream(object);
+        for _ in 0..completed {
+            tally.completions += 1;
+            host.offer(catalog[zipf.sample(&mut arrivals)].clone(), &mut tally);
         }
         // Live exposition: a scraper (or textfile collector) pointed at
         // the file sees the registry as of the latest completed round.
         if let Some(path) = parsed.str_opt("prom-out") {
+            host.publish_prom_appendix();
             std::fs::write(path, crate::telemetry::render_prom())
                 .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
         }
@@ -428,22 +582,118 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
     if profiling {
         mzd_prof::set_profiling(false);
     }
-    if parsed.flag("dump-on-exit") {
-        if let Some(rec) = server.recorder() {
-            rec.trigger_dump(mzd_prof::DumpTrigger::Manual)
-                .map_err(|e| CliError::Execution(format!("postmortem dump failed: {e}")))?;
+    // Keep the appendix current for the exit-time `--prom-out` write.
+    host.publish_prom_appendix();
+    if parsed.has("dump-on-exit") {
+        match &mut host {
+            Host::Node(server) => {
+                if let Some(rec) = server.recorder() {
+                    rec.trigger_dump(mzd_prof::DumpTrigger::Manual)
+                        .map_err(|e| CliError::Execution(format!("postmortem dump failed: {e}")))?;
+                }
+            }
+            Host::Fleet(fleet) => {
+                fleet.trigger_fleet_dump(mzd_prof::DumpTrigger::Manual);
+            }
         }
     }
 
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "served {rounds} rounds on {disks} disk(s) (seed {seed}):"
-    );
-    let _ = writeln!(
-        out,
-        "  catalog: {objects} objects x {object_rounds} rounds, Zipf skew {skew}"
-    );
+    match &host {
+        Host::Node(server) => {
+            let _ = writeln!(
+                out,
+                "served {rounds} rounds on {disks} disk(s) (seed {seed}):"
+            );
+            let _ = writeln!(
+                out,
+                "  catalog: {} objects x {} rounds, Zipf skew {}",
+                catalog.len(),
+                catalog[0].rounds,
+                zipf.skew()
+            );
+            node_report(&mut out, server, parsed, &tally);
+        }
+        Host::Fleet(fleet) => {
+            let _ = writeln!(
+                out,
+                "served {rounds} rounds on a {nodes}-node fleet ({disks} disk(s)/node, seed {seed}):"
+            );
+            fleet_report(&mut out, fleet, &tally);
+        }
+    }
+    if let Some(path) = parsed.str_opt("trace-out") {
+        let (json, spans) = match &host {
+            Host::Node(server) => (
+                server.trace_chrome_json(),
+                server.slo_status().map_or(0, |s| s.trace_spans).to_string(),
+            ),
+            Host::Fleet(fleet) => {
+                let json = fleet.trace_chrome_json();
+                let spans = json
+                    .as_ref()
+                    .map_or(0, |j| j.matches("\"ph\":\"X\"").count());
+                (json, format!("{spans} stitched"))
+            }
+        };
+        let json = json.ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
+        std::fs::write(path, json)
+            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
+        let _ = writeln!(out, "  trace: {spans} span(s) -> {path}");
+    }
+    if let Some(path) = parsed.str_opt("profile-out") {
+        let folded = mzd_prof::collapsed();
+        std::fs::write(path, &folded)
+            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
+        let _ = writeln!(
+            out,
+            "  profile: {} stack(s) -> {path}",
+            folded.lines().count()
+        );
+    }
+    if parsed.has("postmortem-dir") {
+        let (dumps, no_dump) = match &host {
+            Host::Node(server) => {
+                let recorder = server.recorder();
+                (
+                    recorder.map(mzd_prof::Recorder::dumps).unwrap_or_default(),
+                    format!(
+                        "no dump triggered ({} round(s) retained)",
+                        recorder.map_or(0, mzd_prof::Recorder::len)
+                    ),
+                )
+            }
+            Host::Fleet(fleet) => (
+                fleet.fleet_dumps().to_vec(),
+                "no fleet dump triggered".to_string(),
+            ),
+        };
+        if dumps.is_empty() {
+            let _ = writeln!(out, "  postmortem: {no_dump}");
+        }
+        for (trigger, path) in dumps {
+            let _ = writeln!(
+                out,
+                "  postmortem: {} -> {}",
+                trigger.as_str(),
+                path.display()
+            );
+        }
+    }
+    Ok(out)
+}
+
+fn glitch_rate(glitches: u64, stream_rounds: u64) -> f64 {
+    if stream_rounds == 0 {
+        0.0
+    } else {
+        glitches as f64 / stream_rounds as f64
+    }
+}
+
+/// The single-node report body: admission, cache, faults, degradation
+/// and SLO state.
+fn node_report(out: &mut String, server: &mzd_server::VideoServer, parsed: &Parsed, tally: &Tally) {
     let adm = server.admission();
     if adm.is_cache_aware() {
         let _ = writeln!(
@@ -460,16 +710,14 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         "  streams: {} active, {} waiting, {} completed play-out",
         server.active_streams(),
         server.waiting_streams(),
-        completions
+        tally.completions
     );
-    let glitch_rate = if stream_rounds == 0 {
-        0.0
-    } else {
-        glitches as f64 / stream_rounds as f64
-    };
     let _ = writeln!(
         out,
-        "  glitches: {glitches} in {stream_rounds} stream-rounds (rate {glitch_rate:.5})"
+        "  glitches: {} in {} stream-rounds (rate {:.5})",
+        tally.glitches,
+        tally.stream_rounds,
+        glitch_rate(tally.glitches, tally.stream_rounds)
     );
     if let Some(cache) = server.cache() {
         let stats = cache.stats();
@@ -535,193 +783,39 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
                 ""
             }
         );
-        if let Some(path) = parsed.str_opt("trace-out") {
-            let json = server
-                .trace_chrome_json()
-                .ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
-            std::fs::write(path, json)
-                .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-            let _ = writeln!(out, "  trace: {} span(s) -> {path}", status.trace_spans);
-        }
     }
-    if let Some(path) = parsed.str_opt("profile-out") {
-        let folded = mzd_prof::collapsed();
-        std::fs::write(path, &folded)
-            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(
-            out,
-            "  profile: {} stack(s) -> {path}",
-            folded.lines().count()
-        );
-    }
-    if let Some(rec) = server.recorder() {
-        let dumps = rec.dumps();
-        if dumps.is_empty() {
-            let _ = writeln!(
-                out,
-                "  postmortem: no dump triggered ({} round(s) retained)",
-                rec.len()
-            );
-        }
-        for (trigger, path) in dumps {
-            let _ = writeln!(
-                out,
-                "  postmortem: {} -> {}",
-                trigger.as_str(),
-                path.display()
-            );
-        }
-    }
-    Ok(out)
 }
 
-/// `mzd serve --nodes N`: the sharded fleet. One dispatcher, N nodes of
-/// `--disks` disks, consistent-hash placement, lease-timeout failure
-/// detection, and the paper guarantee composed fleet-wide.
-fn serve_cluster(parsed: &Parsed, nodes: u32, disks: u32) -> Result<String, CliError> {
-    use rand::{rngs::StdRng, SeedableRng};
-
-    let rounds = parsed.u64_or("rounds", 1200)?;
-    let seed = parsed.u64_or("seed", 42)?;
-    let lease_rounds = u32::try_from(parsed.u64_or("lease-rounds", 3)?)
-        .map_err(|_| CliError::Usage("--lease-rounds is too large".into()))?;
-    let gray_node = u32::try_from(parsed.u64_or("gray-node", 0)?)
-        .map_err(|_| CliError::Usage("--gray-node is too large".into()))?;
-    let mut cfg = mzd_cluster::ClusterConfig::paper_reference(nodes, disks)
-        .map_err(|e| CliError::Execution(e.to_string()))?;
-    cfg.node = serve_server_config(parsed, disks)?;
-    cfg.lease_rounds = lease_rounds;
-    cfg.gray_node = gray_node;
-    let mut fleet =
-        mzd_cluster::Cluster::new(cfg, seed).map_err(|e| CliError::Execution(e.to_string()))?;
-    if parsed.flag("health") {
-        fleet
-            .enable_health(mzd_health::HealthConfig::default())
-            .map_err(|e| CliError::Execution(e.to_string()))?;
-    }
-    let guarantee = fleet.guarantee().clone();
-    // Default offered load: the composed fleet capacity — the largest
-    // population the guarantee covers.
-    let streams = parsed.u64_or("streams", guarantee.fleet_capacity)?;
-
-    // Cross-node trace stitching: one root span per stream at the
-    // dispatcher, adopted by every host it migrates across.
-    if parsed.has("trace-out") {
-        fleet
-            .enable_tracing()
-            .map_err(|e| CliError::Execution(e.to_string()))?;
-    }
-    // Correlated fleet postmortems: per-node recorders under
-    // `DIR/node-{i}/` plus the fleet manifest the triggers write.
-    if let Some(dir) = parsed.str_opt("postmortem-dir") {
-        let capacity = usize::try_from(parsed.u64_or("recorder-capacity", 64)?)
-            .map_err(|_| CliError::Usage("--recorder-capacity is too large".into()))?;
-        let mut settings = mzd_prof::RecorderSettings::new(dir);
-        settings.capacity = capacity.max(1);
-        settings.config_echo = vec![
-            ("disk".into(), parsed.str_or("disk", "viking").into()),
-            ("disks".into(), disks.to_string()),
-            ("nodes".into(), nodes.to_string()),
-            ("lease_rounds".into(), lease_rounds.to_string()),
-            (
-                "mean".into(),
-                format!("{}", parsed.f64_or("mean", 200_000.0)?),
-            ),
-            ("sd".into(), format!("{}", parsed.f64_or("sd", 100_000.0)?)),
-            ("round".into(), format!("{}", parsed.f64_or("round", 1.0)?)),
-            ("seed".into(), seed.to_string()),
-            ("streams".into(), streams.to_string()),
-            ("rounds".into(), rounds.to_string()),
-            (
-                "fault_profile".into(),
-                parsed.str_or("fault-profile", "").into(),
-            ),
-        ];
-        fleet.attach_recorders(&settings);
-    }
-
-    let (catalog, zipf) = serve_catalog(parsed)?;
-    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
-    let mut rejected = 0u64;
-    let submit = |fleet: &mut mzd_cluster::Cluster, arrivals: &mut StdRng| {
-        let object = catalog[zipf.sample(arrivals)].clone();
-        match fleet.submit(object) {
-            Ok(mzd_cluster::SubmitOutcome::Rejected { .. }) => 1u64,
-            _ => 0,
-        }
-    };
-    for _ in 0..streams {
-        rejected += submit(&mut fleet, &mut arrivals);
-    }
-
-    let mut host_glitches = 0u64;
-    let mut stream_rounds = 0u64;
-    let mut failures: Vec<u64> = Vec::new();
-    let mut migrated = 0u64;
-    let mut late_disks = 0u64;
-    for _ in 0..rounds {
-        stream_rounds += fleet.active_streams() as u64;
-        let report = fleet.run_round();
-        host_glitches += report.glitched_streams;
-        migrated += report.migrations.len() as u64;
-        late_disks += u64::from(report.late_disks);
-        if !report.failed_nodes.is_empty() {
-            failures.push(report.round);
-        }
-        // Constant offered load: every completion re-draws a request.
-        for _ in &report.completed {
-            rejected += submit(&mut fleet, &mut arrivals);
-        }
-        // Live flush: cluster.* counters and gauges land in the same
-        // snapshot sink per round, so a mid-run reader sees fleet
-        // state, not just the final write at exit.
-        if let Some(path) = parsed.str_opt("metrics-out") {
-            let json = mzd_telemetry::global().snapshot().to_json();
-            std::fs::write(path, json)
-                .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        }
-        if let Some(path) = parsed.str_opt("prom-out") {
-            // The fleet's labeled sketch series ride along as an
-            // appendix to the process-global registry.
-            crate::telemetry::set_prom_appendix(fleet.sketches().render_prom());
-            std::fs::write(path, crate::telemetry::render_prom())
-                .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        }
-    }
-    // Keep the appendix current for the exit-time `--prom-out` write.
-    crate::telemetry::set_prom_appendix(fleet.sketches().render_prom());
-    if parsed.flag("dump-on-exit") {
-        fleet.trigger_fleet_dump(mzd_prof::DumpTrigger::Manual);
-    }
-
+/// The fleet report body: the composed guarantee, failures and
+/// migrations, health, and the merged service-time sketch.
+fn fleet_report(out: &mut String, fleet: &mzd_cluster::Cluster, tally: &Tally) {
+    let guarantee = fleet.guarantee();
     let status = fleet.status();
     let over_budget = fleet
         .completed()
         .iter()
         .filter(|c| c.glitches >= guarantee.g)
         .count();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "served {rounds} rounds on a {nodes}-node fleet ({disks} disk(s)/node, seed {seed}):"
-    );
     let _ = writeln!(
         out,
         "  guarantee: n* = {}/disk (single-node cap {}), lease {} rounds \
          debits {} of g = {} glitches",
         guarantee.n_star,
         guarantee.n_max_single,
-        lease_rounds,
+        fleet.config().lease_rounds,
         guarantee.outage_rounds,
         guarantee.g,
     );
+    // ε bounds each stream separately; the any-of figure is only the
+    // union bound over the whole population, printed for information.
     let _ = writeln!(
         out,
-        "  guarantee: p_error/stream <= {:.3e}, p_error any-of-{} <= {:.3e} (budget {})",
+        "  guarantee: p_error/stream <= {:.3e} (budget {}); \
+         informational union bound p_error any-of-{} <= {:.3e}",
         guarantee.p_error_stream,
+        guarantee.epsilon,
         guarantee.fleet_capacity,
-        guarantee.p_error_any,
-        guarantee.epsilon
+        guarantee.p_error_any
     );
     let _ = writeln!(
         out,
@@ -731,33 +825,32 @@ fn serve_cluster(parsed: &Parsed, nodes: u32, disks: u32) -> Result<String, CliE
     let _ = writeln!(
         out,
         "  streams: {} active, {} waiting, {} completed play-out, {} rejected at capacity",
-        status.active_streams, status.waiting, status.completed, rejected
+        status.active_streams, status.waiting, status.completed, tally.rejected
     );
-    let glitch_rate = if stream_rounds == 0 {
-        0.0
-    } else {
-        status.total_glitches as f64 / stream_rounds as f64
-    };
     let _ = writeln!(
         out,
         "  glitches: {} host + {} outage in {} stream-rounds (rate {:.5}); {} late disk-rounds",
-        host_glitches, status.outage_glitches, stream_rounds, glitch_rate, late_disks
+        tally.glitches,
+        status.outage_glitches,
+        tally.stream_rounds,
+        glitch_rate(status.total_glitches, tally.stream_rounds),
+        tally.late_disks
     );
     let _ = writeln!(
         out,
         "  failures: {} node failure(s){}{}; {} stream(s) migrated",
-        failures.len(),
-        if failures.is_empty() {
+        tally.failures.len(),
+        if tally.failures.is_empty() {
             String::new()
         } else {
-            format!(" at round(s) {failures:?}")
+            format!(" at round(s) {:?}", tally.failures)
         },
         if fleet.config().outages.is_empty() {
             String::new()
         } else {
             format!(" ({} scripted outage(s))", fleet.config().outages.len())
         },
-        migrated
+        tally.migrated
     );
     let _ = writeln!(
         out,
@@ -806,30 +899,6 @@ fn serve_cluster(parsed: &Parsed, nodes: u32, disks: u32) -> Result<String, CliE
             service.count()
         );
     }
-    if let Some(path) = parsed.str_opt("trace-out") {
-        let json = fleet
-            .trace_chrome_json()
-            .ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
-        let spans = json.matches("\"ph\":\"X\"").count();
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "  trace: {spans} stitched span(s) -> {path}");
-    }
-    if parsed.has("postmortem-dir") {
-        let dumps = fleet.fleet_dumps();
-        if dumps.is_empty() {
-            let _ = writeln!(out, "  postmortem: no fleet dump triggered");
-        }
-        for (trigger, path) in dumps {
-            let _ = writeln!(
-                out,
-                "  postmortem: {} -> {}",
-                trigger.as_str(),
-                path.display()
-            );
-        }
-    }
-    Ok(out)
 }
 
 fn report(parsed: &Parsed) -> Result<String, CliError> {

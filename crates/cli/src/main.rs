@@ -19,7 +19,7 @@ fn main() {
     let telemetry_result = mzd_cli::telemetry::finish(&parsed);
     match result {
         Ok(text) => {
-            if !parsed.flag("quiet") {
+            if !parsed.has("quiet") {
                 print!("{text}");
             }
         }

@@ -48,7 +48,7 @@ pub fn init(parsed: &Parsed) -> Result<(), CliError> {
         let sink = mzd_telemetry::event::JsonlSink::create(path)
             .map_err(|e| CliError::Execution(format!("cannot create {path}: {e}")))?;
         mzd_telemetry::set_sink(Arc::new(sink));
-    } else if parsed.flag("verbose") {
+    } else if parsed.has("verbose") {
         mzd_telemetry::set_sink(Arc::new(mzd_telemetry::event::StderrSink));
     }
     Ok(())

@@ -62,7 +62,7 @@ impl MixedRoundModel {
 
     /// Total number of requests across classes.
     #[must_use]
-    pub fn total_requests(&self) -> u32 {
+    fn total_requests(&self) -> u32 {
         self.classes.iter().map(|c| c.count).sum()
     }
 

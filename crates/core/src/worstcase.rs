@@ -30,7 +30,7 @@ pub struct WorstCaseInputs {
 impl WorstCaseInputs {
     /// Worst-case per-request service time.
     #[must_use]
-    pub fn per_request(&self) -> f64 {
+    fn per_request(&self) -> f64 {
         self.t_rot_max + self.t_seek_max + self.t_trans_max
     }
 }

@@ -169,7 +169,7 @@ impl Disk {
     /// Number of cylinders assigned to each zone (equal split, paper §3.2;
     /// any remainder is given to the outermost zone).
     #[must_use]
-    pub fn cylinders_per_zone(&self) -> u32 {
+    fn cylinders_per_zone(&self) -> u32 {
         self.cylinders / self.zones.zone_count() as u32
     }
 

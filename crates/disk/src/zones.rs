@@ -79,7 +79,7 @@ impl ZoneModel {
     /// # Errors
     /// [`DiskError::Invalid`] if empty, or any capacity is non-positive,
     /// non-finite, or decreasing outward.
-    pub fn from_capacities(capacities: Vec<f64>) -> Result<Self, DiskError> {
+    fn from_capacities(capacities: Vec<f64>) -> Result<Self, DiskError> {
         if capacities.is_empty() {
             return Err(DiskError::Invalid("zone table must be non-empty".into()));
         }
@@ -126,12 +126,6 @@ impl ZoneModel {
     #[must_use]
     pub fn max_capacity(&self) -> f64 {
         *self.capacities.last().expect("non-empty by construction")
-    }
-
-    /// Total per-track capacity across zones, `C = Σ C_i`.
-    #[must_use]
-    pub fn total_capacity_per_track(&self) -> f64 {
-        self.total
     }
 
     /// Probability that a uniformly-placed request hits `zone`

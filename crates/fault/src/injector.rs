@@ -173,12 +173,6 @@ impl FaultInjector {
         }
     }
 
-    /// Whether the disk is inside an unavailability window this round.
-    #[must_use]
-    pub fn disk_unavailable(&self) -> bool {
-        self.unavailable
-    }
-
     /// The gray inflation multiplier fixed by the last
     /// [`Self::begin_round`] (`1.0` when not degraded).
     #[must_use]
@@ -371,7 +365,6 @@ mod tests {
         let mut inj = FaultInjector::new(&cfg, 9);
         for _ in 0..3 {
             inj.begin_round();
-            assert!(inj.disk_unavailable());
             let p = inj.perturb_read(0, 0.01, 0.011, 0.02, 0.5);
             assert!(p.failed);
             assert_eq!(p.extra_time, 0.0);

@@ -45,17 +45,8 @@ impl Complex {
 
     /// Argument `arg z ∈ (−π, π]`.
     #[must_use]
-    pub fn arg(self) -> f64 {
+    fn arg(self) -> f64 {
         self.im.atan2(self.re)
-    }
-
-    /// Complex conjugate.
-    #[must_use]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
     }
 
     /// `e^z`.
@@ -84,7 +75,7 @@ impl Complex {
 
     /// Reciprocal `1/z`.
     #[must_use]
-    pub fn recip(self) -> Self {
+    fn recip(self) -> Self {
         let d = self.re * self.re + self.im * self.im;
         Self {
             re: self.re / d,
@@ -204,7 +195,6 @@ mod tests {
         let z = Complex::from_polar(2.5, 0.7);
         assert!((z.abs() - 2.5).abs() < 1e-14);
         assert!((z.arg() - 0.7).abs() < 1e-14);
-        assert_eq!(z.conj().im, -z.im);
     }
 
     #[test]

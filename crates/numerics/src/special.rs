@@ -253,7 +253,7 @@ pub fn inverse_gamma_p(a: f64, p: f64) -> Result<f64> {
 /// Error function `erf(x)`, via the regularized incomplete gamma identity
 /// `erf(x) = sign(x) · P(1/2, x²)`.
 #[must_use]
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
@@ -268,7 +268,7 @@ pub fn erf(x: f64) -> f64 {
 /// Complementary error function `erfc(x) = 1 − erf(x)`, computed without
 /// cancellation in the right tail.
 #[must_use]
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x <= 0.0 {
         // No cancellation on this side: erf(−x) ≥ 0.
         return 1.0 + erf(-x);

@@ -85,16 +85,6 @@ impl OnlineStats {
         self.max
     }
 
-    /// Standard error of the mean.
-    #[must_use]
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            (self.variance() / self.n as f64).sqrt()
-        }
-    }
-
     /// Merge another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
@@ -223,7 +213,6 @@ mod tests {
         assert!((s.variance() - variance(&data)).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 9.0);
-        assert!(s.std_error() > 0.0);
     }
 
     #[test]

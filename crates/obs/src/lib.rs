@@ -2,23 +2,20 @@
 //!
 //! A multi-node fleet cannot audit its composed stochastic guarantee
 //! with per-node averages of averages: the p99 of a merged population
-//! is not a function of per-node p99s. This crate provides the three
-//! pieces the fleet path records through:
+//! is not a function of per-node p99s. The fleet path records into
+//! [`mzd_telemetry::QuantileSketch`] — the workspace's one histogram
+//! value, whose fixed layout merges *exactly* by bucket-wise addition,
+//! so a merged sketch's quantiles are true fleet-level p50/p99/p999 up
+//! to one bucket width. This crate adds the labeled scopes around it:
 //!
-//! * [`QuantileSketch`] — a *mergeable* fixed-layout quantile sketch on
-//!   the exact log-bucket geometry `mzd-telemetry` histograms use
-//!   ([`mzd_telemetry::geometry`]). Because the layout is a constant,
-//!   merging is bucket-wise `u64` addition: **exact**, associative,
-//!   commutative, and byte-stable at any `--jobs` width. The merged
-//!   sketch's quantiles equal the quantiles of the concatenated
-//!   per-node samples up to one bucket width (~29% relative bucket
-//!   span, ≤ ~13% value error) — true fleet-level p50/p99/p999.
 //! * [`LabelSet`] — a sorted label scope (`node="3"`, `disk="0"`)
 //!   rendered with full Prometheus value escaping.
 //! * [`NodeScope`] / [`SketchFleet`] — one labeled sketch registry per
 //!   node plus the fleet aggregator that merges them and renders
 //!   Prometheus text: per-node `_bucket{node="N",le="…"}` series and a
-//!   fleet-level `_fleet` summary with `quantile` labels.
+//!   fleet-level `_fleet` summary with `quantile` labels. The `_bucket`
+//!   / `_sum` / `_count` lines come from the same writer as the
+//!   registry exposition ([`mzd_telemetry::prom::write_histogram`]).
 //!
 //! Like its siblings the crate is dependency-free beyond
 //! `mzd-telemetry` itself, and everything here is a pure function of
@@ -27,146 +24,9 @@
 
 #![warn(missing_docs)]
 
-use mzd_telemetry::geometry::{bucket_index, bucket_value, BUCKET_COUNT, SLOT_COUNT};
-use mzd_telemetry::prom;
+use mzd_telemetry::{prom, QuantileSketch};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// A mergeable quantile sketch on the workspace's shared log-bucket
-/// geometry.
-///
-/// Unlike [`mzd_telemetry::Histogram`] (atomic, process-global, handle
-/// semantics) this is a plain value: cheap to clone, merge and compare,
-/// which is what per-node scopes and fleet roll-ups need. Both types
-/// index values with the same [`mzd_telemetry::geometry`] functions, so
-/// a sketch and a histogram fed the same samples agree bucket for
-/// bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantileSketch {
-    /// `[underflow, BUCKET_COUNT regular, overflow]` observation counts.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QuantileSketch {
-    /// An empty sketch.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![0; SLOT_COUNT],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation. NaN is dropped (as the histogram does).
-    pub fn record(&mut self, value: f64) {
-        if value.is_nan() {
-            return;
-        }
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Merge another sketch into this one: bucket-wise addition, exact
-    /// by construction of the fixed layout. `merge` is associative and
-    /// commutative on the bucket counts, so fleet roll-ups are
-    /// independent of node visiting order.
-    pub fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Exact minimum (+∞ when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Exact maximum (−∞ when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The raw per-slot counts (underflow first, overflow last) — the
-    /// merge invariant tests compare these directly.
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`). Mirrors
-    /// [`mzd_telemetry::Histogram::quantile`]: rank `ceil(q·count)`
-    /// located in the cumulative buckets, the bucket midpoint clamped
-    /// into the observed `[min, max]`. NaN when empty.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-        #[allow(clippy::cast_sign_loss)]
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
-            if cumulative >= rank {
-                return bucket_value(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Cumulative `(upper_bound, count_le)` pairs in ascending bound
-    /// order ending at `(+∞, count)` — the Prometheus exposition shape,
-    /// identical to [`mzd_telemetry::Histogram::cumulative_buckets`].
-    #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::with_capacity(BUCKET_COUNT + 1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
-            if i == 0 {
-                continue; // underflow merges into the first regular bound
-            }
-            out.push((mzd_telemetry::geometry::bucket_bound(i), cumulative));
-        }
-        out
-    }
-}
 
 /// A sorted, immutable-after-build label scope.
 ///
@@ -213,19 +73,6 @@ impl LabelSet {
             .collect();
         prom::render_label_set(&pairs)
     }
-
-    /// Render with one extra trailing pair appended (how `le` joins the
-    /// scope labels on `_bucket` series without cloning the set).
-    #[must_use]
-    pub fn render_with(&self, key: &str, value: &str) -> String {
-        let mut pairs: Vec<(&str, &str)> = self
-            .pairs
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        pairs.push((key, value));
-        prom::render_label_set(&pairs)
-    }
 }
 
 /// One node's sketch registry: a label scope (`node="N"`) plus named
@@ -264,7 +111,7 @@ impl NodeScope {
     /// Pre-register a sketch so it is exposed (empty) from round zero —
     /// the same catalog-stability rule eager `fault.*` / `cluster.*`
     /// registration follows.
-    pub fn declare(&mut self, name: &str) {
+    fn declare(&mut self, name: &str) {
         self.sketches.entry(name.to_string()).or_default();
     }
 
@@ -385,44 +232,15 @@ impl SketchFleet {
     }
 }
 
-/// Render one sketch as cumulative labeled `_bucket` / `_sum` /
-/// `_count` exposition lines under `labels`. Empty buckets are elided
-/// exactly as [`mzd_telemetry::prom::render`] elides them; the
-/// mandatory `+Inf` bucket closes the series at the total count.
-pub fn render_sketch_series(
+/// Render one sketch's labeled `_bucket` / `_sum` / `_count` lines
+/// through the exposition's shared histogram writer.
+fn render_sketch_series(
     out: &mut String,
     sanitized_name: &str,
     labels: &LabelSet,
     sketch: &QuantileSketch,
 ) {
-    let n = sanitized_name;
-    let mut previous = 0u64;
-    for (bound, cumulative) in sketch.cumulative_buckets() {
-        if bound.is_finite() {
-            if cumulative == previous {
-                continue;
-            }
-            previous = cumulative;
-            let _ = writeln!(
-                out,
-                "{n}_bucket{} {cumulative}",
-                labels.render_with("le", &prom::format_value(bound))
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{n}_bucket{} {}",
-        labels.render_with("le", "+Inf"),
-        sketch.count()
-    );
-    let _ = writeln!(
-        out,
-        "{n}_sum{} {}",
-        labels.render(),
-        prom::format_value(sketch.sum())
-    );
-    let _ = writeln!(out, "{n}_count{} {}", labels.render(), sketch.count());
+    prom::write_histogram(out, sanitized_name, &labels.render(), sketch);
 }
 
 #[cfg(test)]
@@ -431,62 +249,9 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn sketch_agrees_with_histogram_buckets() {
-        let mut sketch = QuantileSketch::new();
-        let hist = mzd_telemetry::Registry::new().histogram("t");
-        for i in 1..=500 {
-            let v = f64::from(i) * 1e-3;
-            sketch.record(v);
-            hist.record(v);
-        }
-        assert_eq!(sketch.cumulative_buckets(), hist.cumulative_buckets());
-        for (_, q) in mzd_telemetry::QUANTILE_LABELS {
-            assert_eq!(sketch.quantile(q), hist.quantile(q));
-        }
-    }
-
-    #[test]
-    fn empty_sketch_quantile_is_nan() {
-        let s = QuantileSketch::new();
-        assert!(s.quantile(0.5).is_nan());
-        assert_eq!(s.count(), 0);
-        // NaN observations are dropped, not binned.
-        let mut s = QuantileSketch::new();
-        s.record(f64::NAN);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merged_quantile_matches_concatenated_within_one_bucket() {
-        // Two disjoint populations; the merged p99 must equal the p99
-        // of the concatenation up to bucket resolution (~29% width).
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        let mut all = QuantileSketch::new();
-        for i in 1..=300 {
-            let low = f64::from(i) * 1e-4;
-            let high = f64::from(i) * 2e-3;
-            a.record(low);
-            b.record(high);
-            all.record(low);
-            all.record(high);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.bucket_counts(), all.bucket_counts());
-        for (_, q) in mzd_telemetry::QUANTILE_LABELS {
-            assert_eq!(merged.quantile(q), all.quantile(q));
-        }
-    }
-
-    #[test]
     fn label_sets_sort_and_escape() {
         let l = LabelSet::new().with("node", "3").with("disk", "0");
         assert_eq!(l.render(), "{disk=\"0\",node=\"3\"}");
-        assert_eq!(
-            l.render_with("le", "+Inf"),
-            "{disk=\"0\",node=\"3\",le=\"+Inf\"}"
-        );
         let l = LabelSet::new().with("zone", "a\"b\\c\nd");
         assert_eq!(l.render(), "{zone=\"a\\\"b\\\\c\\nd\"}");
         // Replacement keeps a single entry per key.

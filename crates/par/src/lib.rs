@@ -133,7 +133,7 @@ where
 }
 
 /// [`par_map_indexed`] with an explicit worker count.
-pub fn par_map_indexed_with<U, F>(par: Parallelism, len: usize, f: F) -> Vec<U>
+fn par_map_indexed_with<U, F>(par: Parallelism, len: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
@@ -172,7 +172,7 @@ where
 }
 
 /// [`par_map_owned`] with an explicit worker count.
-pub fn par_map_owned_with<T, U, F>(par: Parallelism, items: Vec<T>, f: F) -> Vec<U>
+fn par_map_owned_with<T, U, F>(par: Parallelism, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -201,7 +201,7 @@ where
 }
 
 /// [`par_map`] with an explicit worker count.
-pub fn par_map_with<T, U, F>(par: Parallelism, items: &[T], f: F) -> Vec<U>
+fn par_map_with<T, U, F>(par: Parallelism, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,

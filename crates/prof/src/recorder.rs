@@ -177,7 +177,7 @@ impl RoundSnapshot {
     /// Serialize as one line of JSON (fixed member order — byte-stable
     /// for identical state).
     #[must_use]
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256 + self.disks.len() * 160);
         out.push_str("{\"round\":");
         out.push_str(&self.round.to_string());
@@ -247,7 +247,7 @@ impl RoundSnapshot {
     /// for malformed lines; missing numeric members default to 0 so old
     /// bundles stay readable across additive schema growth.
     #[must_use]
-    pub fn parse_json_line(line: &str) -> Option<Self> {
+    fn parse_json_line(line: &str) -> Option<Self> {
         let doc = json::parse(line).ok()?;
         let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -366,7 +366,7 @@ impl FlightRecorder {
 
     /// Retained snapshots, oldest first.
     #[must_use]
-    pub fn iter_oldest_first(&self) -> Vec<&RoundSnapshot> {
+    fn iter_oldest_first(&self) -> Vec<&RoundSnapshot> {
         let cap = self.slots.len() as u64;
         let start = self.pushed.saturating_sub(cap);
         (start..self.pushed)

@@ -911,34 +911,6 @@ impl VideoServer {
             .ok_or(ServerError::UnknownStream(handle.0))
     }
 
-    /// Update the workload statistics behind admission control and
-    /// recompute the per-disk limit (§5: "the table has to be updated by
-    /// re-evaluating the analytic model only if the disk configuration or
-    /// general data characteristics change"). Already-admitted streams
-    /// are not evicted; if the new limit is lower, admission simply stays
-    /// closed until enough streams finish.
-    ///
-    /// # Errors
-    /// Propagates model-construction errors for invalid moments.
-    pub fn reconfigure_workload(
-        &mut self,
-        size_mean: f64,
-        size_variance: f64,
-    ) -> Result<(), ServerError> {
-        let mut cfg = self.cfg.clone();
-        cfg.admission_size_mean = size_mean;
-        cfg.admission_size_variance = size_variance;
-        let model = cfg.model()?;
-        self.admission.retarget(&model)?;
-        if let Some(slo) = self.slo.as_mut() {
-            // Conformance must judge observations against the model now
-            // in force; stale CDF tables would flag spurious drift.
-            slo.set_model(model);
-        }
-        self.cfg = cfg;
-        Ok(())
-    }
-
     /// Pause an active stream (VCR pause): it requests no fragments but
     /// keeps its admission reservation, so [`Self::resume_stream`] always
     /// succeeds. Idempotent.
@@ -2031,28 +2003,6 @@ mod tests {
             s.pause_stream(*h).unwrap();
         }
         assert!(s.open_stream(short_object(100)).is_err());
-    }
-
-    #[test]
-    fn reconfigure_workload_moves_the_limit_without_evicting() {
-        let mut s = server(1, 9);
-        let before = s.admission().per_disk_limit();
-        for _ in 0..before {
-            s.open_stream(short_object(100)).unwrap();
-        }
-        // Heavier fragments → lower limit; active streams stay.
-        s.reconfigure_workload(400_000.0, 4e10).unwrap();
-        let after = s.admission().per_disk_limit();
-        assert!(after < before, "limit {after} not below {before}");
-        assert_eq!(s.active_streams(), before as usize);
-        // Admission is closed while over the new limit.
-        assert!(s.open_stream(short_object(100)).is_err());
-        // Lighter fragments → higher limit, admission reopens.
-        s.reconfigure_workload(50_000.0, 2.5e9).unwrap();
-        assert!(s.admission().per_disk_limit() > before);
-        assert!(s.open_stream(short_object(100)).is_ok());
-        // Invalid moments rejected, state unchanged.
-        assert!(s.reconfigure_workload(-1.0, 1.0).is_err());
     }
 
     #[test]

@@ -184,12 +184,6 @@ impl SloState {
         self.cdfs.get(&n)
     }
 
-    /// Invalidate the CDF tables after a model change.
-    pub(crate) fn set_model(&mut self, model: GuaranteeModel) {
-        self.model = model;
-        self.cdfs.clear();
-    }
-
     /// The root span context of a stream: an externally staged root
     /// ([`Self::stage_root`]) is adopted first, otherwise one is minted
     /// on first sight. `None` when tracing is off.

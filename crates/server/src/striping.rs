@@ -5,8 +5,8 @@
 //! in consecutive rounds — hit consecutive disks, a stream imposes
 //! exactly one request per round on exactly one disk, and staggered start
 //! disks keep the per-disk multiprogramming level balanced.
-//! [`StripingLayout::with_geometry`] generalizes this to the cluster/
-//! stride family the paper cites.
+//! The layout generalizes this to the cluster/stride family the paper
+//! cites.
 
 use crate::ServerError;
 
@@ -39,7 +39,7 @@ impl StripingLayout {
     /// # Errors
     /// [`ServerError::Invalid`] for zero disks/cluster/stride or a stride
     /// sharing a factor with the disk count.
-    pub fn with_geometry(disks: u32, cluster: u32, stride: u32) -> Result<Self, ServerError> {
+    fn with_geometry(disks: u32, cluster: u32, stride: u32) -> Result<Self, ServerError> {
         if disks == 0 {
             return Err(ServerError::Invalid(
                 "a server needs at least one disk".into(),
@@ -87,13 +87,6 @@ impl StripingLayout {
         let segment = u64::from(fragment / self.cluster);
         let step = (segment * u64::from(self.stride)) % u64::from(self.disks);
         (start_disk + step as u32) % self.disks
-    }
-
-    /// A balanced start disk for the `i`-th admitted stream (simple
-    /// round-robin stagger).
-    #[must_use]
-    pub fn stagger_start(&self, stream_index: u64) -> u32 {
-        (stream_index % u64::from(self.disks)) as u32
     }
 }
 
@@ -180,14 +173,6 @@ mod tests {
         for k in 0..5 {
             assert_eq!(s.disk_of_fragment(0, k), 0);
         }
-        assert_eq!(s.stagger_start(17), 0);
-    }
-
-    #[test]
-    fn stagger_balances_start_disks() {
-        let s = StripingLayout::new(3).unwrap();
-        let starts: Vec<u32> = (0..9).map(|i| s.stagger_start(i)).collect();
-        assert_eq!(starts, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
@@ -199,7 +184,8 @@ mod tests {
         for round in 0..12u32 {
             let mut load = [0u32; 4];
             for i in 0..streams {
-                let d = s.disk_of_fragment(s.stagger_start(i), round);
+                // Round-robin start disks.
+                let d = s.disk_of_fragment((i % 4) as u32, round);
                 load[d as usize] += 1;
             }
             let (min, max) = (*load.iter().min().unwrap(), *load.iter().max().unwrap());

@@ -22,7 +22,7 @@
 //!    packed `(key, index)` `u64` array with `sort_unstable` (stability
 //!    recovered from the unique index in the low bits), so steady-state
 //!    rounds allocate nothing.
-//! 3. **Batched RNG draws.** One [`DrawBuffer::refill`] per round
+//! 3. **Batched RNG draws.** One `DrawBuffer::refill` per round
 //!    pre-materialises the raw `u64`s of the simulator's seeded stream;
 //!    all samplers then consume them in index order. The buffer is a
 //!    pure *window* onto the base stream — unconsumed draws carry over,
@@ -43,7 +43,7 @@ use rand::Rng;
 
 /// Pre-materialised window onto a raw `u64` RNG stream.
 ///
-/// [`DrawBuffer::refill`] pulls a batch of raw words from the base
+/// `DrawBuffer::refill` pulls a batch of raw words from the base
 /// generator; [`DrawBuffer::next`] serves them in order and falls back
 /// to the base generator when the batch is exhausted. Unconsumed words
 /// survive the next refill, so the sequence of values returned by
@@ -68,7 +68,7 @@ impl DrawBuffer {
     ///
     /// Unconsumed draws are retained — the buffer is a window onto the
     /// base stream and must never drop a word.
-    pub fn refill<R: Rng + ?Sized>(&mut self, base: &mut R, n: usize) {
+    fn refill<R: Rng + ?Sized>(&mut self, base: &mut R, n: usize) {
         self.buf.drain(..self.pos);
         self.pos = 0;
         while self.buf.len() < n {
@@ -91,14 +91,14 @@ impl DrawBuffer {
     /// Uniform `f64` in `[0, 1)` — same bit recipe as the vendored
     /// `rand`'s `Standard` for `f64` (top 53 bits of one raw draw).
     #[inline(always)]
-    pub fn f64_unit<R: Rng + ?Sized>(&mut self, base: &mut R) -> f64 {
+    fn f64_unit<R: Rng + ?Sized>(&mut self, base: &mut R) -> f64 {
         (self.next(base) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f64` in `[start, end)` — same arithmetic (including the
     /// round-up guard) as the vendored `rand`'s `Range<f64>` sampler.
     #[inline(always)]
-    pub fn f64_range<R: Rng + ?Sized>(&mut self, base: &mut R, start: f64, end: f64) -> f64 {
+    fn f64_range<R: Rng + ?Sized>(&mut self, base: &mut R, start: f64, end: f64) -> f64 {
         let u = self.f64_unit(base);
         let v = start + u * (end - start);
         if v < end {

@@ -28,9 +28,8 @@
 //!   round length): the rest of the workspace deliberately records no
 //!   wall-clock time so seeded replays stay byte-identical.
 //!
-//! [`report::render_html`] turns a run's metrics/events JSONL into a
-//! self-contained HTML page with inline-SVG sparklines — no external
-//! assets, viewable offline.
+//! The HTML run report (`mzd report`) lives in the CLI crate; this
+//! crate only interprets observations.
 //!
 //! Like `mzd-telemetry` and `mzd-cache`, this crate depends on nothing
 //! outside the workspace (only the telemetry crate, for the JSON
@@ -40,7 +39,6 @@
 
 pub mod burn;
 pub mod conformance;
-pub mod report;
 pub mod trace;
 
 pub use burn::{AlertTransition, BurnConfig, BurnRateEngine};

@@ -18,7 +18,9 @@
 //! CLI's `--prom-out` snapshots rely on). Execution-scoped series
 //! remain visible in the JSON snapshot.
 
+use crate::registry::geometry::{bucket_bound, BUCKET_COUNT};
 use crate::registry::Registry;
+use crate::QuantileSketch;
 use std::fmt::Write as _;
 
 /// Sanitize a dotted metric name into the Prometheus exposition
@@ -104,12 +106,41 @@ pub fn format_value(v: f64) -> String {
     s
 }
 
-/// Render `registry` in Prometheus text exposition format.
-///
-/// Histogram `_bucket` series are cumulative; bounds whose bucket is
-/// empty are elided (the cumulative value at any retained bound is
-/// exact), and the mandatory `le="+Inf"` bucket always closes the
-/// series at the total count.
+/// Write one histogram's `_bucket` / `_sum` / `_count` series under
+/// the rendered label set `labels` (`{k="v",...}`, or empty) — the one
+/// histogram writer [`render`] and the fleet exposition in `mzd-obs`
+/// share. `_bucket` series are cumulative; bounds whose bucket is empty
+/// are elided (the cumulative value at any retained bound is exact),
+/// underflow observations count under the first regular bound, and the
+/// mandatory `le="+Inf"` bucket always closes the series at the total
+/// count.
+pub fn write_histogram(out: &mut String, name: &str, labels: &str, sketch: &QuantileSketch) {
+    let le_open = match labels.strip_suffix('}') {
+        Some(scope) => format!("{scope},le=\""),
+        None => "{le=\"".to_string(),
+    };
+    let mut cumulative = 0u64;
+    let mut previous = 0u64;
+    for (i, bucket) in sketch.bucket_counts()[..=BUCKET_COUNT].iter().enumerate() {
+        cumulative += bucket;
+        if i == 0 || cumulative == previous {
+            continue;
+        }
+        previous = cumulative;
+        let _ = write!(out, "{name}_bucket{le_open}");
+        write_value(out, bucket_bound(i));
+        let _ = writeln!(out, "\"}} {cumulative}");
+    }
+    let count = sketch.count();
+    let _ = writeln!(out, "{name}_bucket{le_open}+Inf\"}} {count}");
+    let _ = write!(out, "{name}_sum{labels} ");
+    write_value(out, sketch.sum());
+    out.push('\n');
+    let _ = writeln!(out, "{name}_count{labels} {count}");
+}
+
+/// Render `registry` in Prometheus text exposition format (histograms
+/// through [`write_histogram`]).
 #[must_use]
 pub fn render(registry: &Registry) -> String {
     let snapshot = registry.snapshot();
@@ -132,34 +163,17 @@ pub fn render(registry: &Registry) -> String {
         write_value(&mut out, *value);
         out.push('\n');
     }
-    for (name, histogram) in registry.histogram_entries() {
-        if registry.is_execution_scoped(&name) {
+    for (name, histogram) in &snapshot.histograms {
+        if registry.is_execution_scoped(name) {
             // Span timers carry real elapsed time and solver iteration
             // tallies vary with parallel range splitting; emitting them
             // would break the exposition's byte-identity across reruns
             // and job counts.
             continue;
         }
-        let n = sanitize_name(&name);
-        let count = histogram.count();
+        let n = sanitize_name(name);
         let _ = writeln!(out, "# TYPE {n} histogram");
-        let mut previous = 0u64;
-        for (bound, cumulative) in histogram.cumulative_buckets() {
-            if bound.is_finite() {
-                if cumulative == previous {
-                    continue; // empty bucket: cumulative value unchanged
-                }
-                previous = cumulative;
-                let _ = write!(out, "{n}_bucket{{le=\"");
-                write_value(&mut out, bound);
-                let _ = writeln!(out, "\"}} {cumulative}");
-            }
-        }
-        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {count}");
-        let _ = write!(out, "{n}_sum ");
-        write_value(&mut out, histogram.sum());
-        out.push('\n');
-        let _ = writeln!(out, "{n}_count {count}");
+        write_histogram(&mut out, &n, "", histogram);
     }
     out
 }

@@ -76,15 +76,14 @@ impl Gauge {
     }
 }
 
-/// The fixed log-bucket geometry shared by [`Histogram`] and by the
-/// mergeable quantile sketches in `mzd-obs`.
+/// The fixed log-bucket geometry every histogram and sketch uses.
 ///
 /// Nine log-spaced buckets per factor of ten across thirteen decades
 /// starting at `1e-9`, plus one underflow and one overflow slot. The
 /// layout is a compile-time constant — never adapted to the data — so
-/// two histograms or sketches over the same unit merge *exactly* by
-/// bucket-wise addition, in any order, which is what makes fleet-level
-/// quantiles byte-stable at any `--jobs` width.
+/// two sketches over the same unit merge *exactly* by bucket-wise
+/// addition, in any order, which is what makes fleet-level quantiles
+/// byte-stable at any `--jobs` width.
 pub mod geometry {
     /// Log-spaced buckets per factor of 10.
     pub const BUCKETS_PER_DECADE: usize = 9;
@@ -119,7 +118,7 @@ pub mod geometry {
     /// Representative value (geometric bucket midpoint) for a slot; the
     /// underflow slot reports `LOW`.
     #[must_use]
-    pub fn bucket_value(index: usize) -> f64 {
+    pub(super) fn bucket_value(index: usize) -> f64 {
         if index == 0 {
             return LOW;
         }
@@ -144,17 +143,134 @@ pub mod geometry {
     }
 }
 
-use geometry::{bucket_index, bucket_value, BUCKET_COUNT};
+use geometry::{bucket_index, bucket_value, SLOT_COUNT};
 
-/// A fixed-bucket log-scale histogram with atomic recording and
-/// quantile estimation.
+/// A mergeable quantile sketch on the shared log-bucket [`geometry`].
 ///
 /// Values spanning `1e-9` to `1e4` land in one of 117 log-spaced
 /// buckets (relative width ≈ 29%, so quantile estimates carry at most
 /// ~13% relative error — ample for service-time tails). Values at or
-/// below `1e-9` (including zero and negatives) are clamped into an
-/// underflow bucket, values above `1e4` into an overflow bucket; exact
-/// `min`/`max`/`sum` are tracked separately, and NaNs are dropped.
+/// below `1e-9` (including zero and negatives) land in an underflow
+/// slot, values above `1e4` in an overflow slot; exact `min`/`max`/`sum`
+/// are tracked separately, and NaNs are dropped.
+///
+/// Because the layout is a constant, merging is bucket-wise `u64`
+/// addition: **exact**, associative and commutative, so the merged
+/// sketch's quantiles equal the quantiles of the concatenated samples
+/// up to one bucket width.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuantileSketch {
+    /// `[underflow, BUCKET_COUNT regular, overflow]` observation counts.
+    buckets: Vec<u64>,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Default for QuantileSketch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl QuantileSketch {
+    /// An empty sketch.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            buckets: vec![0; SLOT_COUNT],
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Record one observation. NaN is dropped.
+    pub fn record(&mut self, value: f64) {
+        if value.is_nan() {
+            return;
+        }
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Merge another sketch into this one: bucket-wise addition, exact
+    /// by construction of the fixed layout. `merge` is associative and
+    /// commutative on the bucket counts, so fleet roll-ups are
+    /// independent of node visiting order.
+    pub fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Observations recorded.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of observations.
+    #[must_use]
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Exact minimum (+∞ when empty).
+    #[must_use]
+    pub fn min(&self) -> f64 {
+        self.min
+    }
+
+    /// Exact maximum (−∞ when empty).
+    #[must_use]
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+
+    /// The raw per-slot counts, underflow first and overflow last.
+    #[must_use]
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.buckets
+    }
+
+    /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`): rank `ceil(q·count)`
+    /// located in the cumulative buckets, the bucket midpoint clamped
+    /// into the observed `[min, max]`. NaN when empty.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return f64::NAN;
+        }
+        let q = q.clamp(0.0, 1.0);
+        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+        #[allow(clippy::cast_sign_loss)]
+        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        let mut cumulative = 0u64;
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            cumulative += bucket;
+            if cumulative >= rank {
+                return bucket_value(i).clamp(self.min, self.max);
+            }
+        }
+        self.max
+    }
+}
+
+/// The atomic, shareable recording side of a [`QuantileSketch`]: any
+/// thread may [`record`](Histogram::record) through a cloned handle,
+/// and [`load`](Histogram::load) copies the state out as a sketch for
+/// quantiles, exposition and merging. Same bucket layout, same NaN
+/// rule.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -174,7 +290,7 @@ struct HistogramInner {
 impl Default for HistogramInner {
     fn default() -> Self {
         Self {
-            buckets: (0..BUCKET_COUNT + 2).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..SLOT_COUNT).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0f64.to_bits()),
             min: AtomicU64::new(f64::INFINITY.to_bits()),
@@ -230,101 +346,22 @@ impl Histogram {
         }
     }
 
-    /// Number of recorded observations.
+    /// The current state as a plain [`QuantileSketch`].
     #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum.load(Ordering::Relaxed))
-    }
-
-    /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`) from the buckets.
-    ///
-    /// Accuracy is limited by the bucket resolution (~13% relative);
-    /// exact extremes come from [`Histogram::snapshot`]'s `min`/`max`.
-    /// Returns NaN for an empty histogram.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub fn load(&self) -> QuantileSketch {
         let inner = &*self.0;
-        let total = inner.count.load(Ordering::Relaxed);
-        if total == 0 {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target observation, 1-based ceil(q·total).
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in inner.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= rank {
-                // Clamp the estimate into the true observed range.
-                let min = f64::from_bits(inner.min.load(Ordering::Relaxed));
-                let max = f64::from_bits(inner.max.load(Ordering::Relaxed));
-                return bucket_value(i).clamp(min, max);
-            }
-        }
-        f64::from_bits(inner.max.load(Ordering::Relaxed))
-    }
-
-    /// Cumulative bucket counts as `(upper_bound, count_le)` pairs, in
-    /// ascending bound order, ending with `(+∞, total count)` — the
-    /// exposition shape Prometheus histograms use. The underflow bucket
-    /// (values ≤ 1 ns) reports under the first regular bound.
-    #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let inner = &*self.0;
-        let mut out = Vec::with_capacity(BUCKET_COUNT + 1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in inner.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if i == 0 {
-                // Underflow merges into the first regular bound below.
-                continue;
-            }
-            out.push((geometry::bucket_bound(i), cumulative));
-        }
-        out
-    }
-
-    /// An immutable copy of the current state.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count();
-        let sum = self.sum();
-        HistogramSnapshot {
-            count,
-            sum,
-            mean: if count == 0 {
-                f64::NAN
-            } else {
-                sum / count as f64
-            },
-            min: f64::from_bits(self.0.min.load(Ordering::Relaxed)),
-            max: f64::from_bits(self.0.max.load(Ordering::Relaxed)),
-            quantiles: QUANTILE_LABELS.map(|(_, q)| self.quantile(q)),
+        QuantileSketch {
+            buckets: inner
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            count: inner.count.load(Ordering::Relaxed),
+            sum: f64::from_bits(inner.sum.load(Ordering::Relaxed)),
+            min: f64::from_bits(inner.min.load(Ordering::Relaxed)),
+            max: f64::from_bits(inner.max.load(Ordering::Relaxed)),
         }
     }
-}
-
-/// Point-in-time summary of one histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Mean (NaN when empty).
-    pub mean: f64,
-    /// Exact minimum (+∞ when empty).
-    pub min: f64,
-    /// Exact maximum (−∞ when empty).
-    pub max: f64,
-    /// Estimates for [`QUANTILE_LABELS`], in order.
-    pub quantiles: [f64; 4],
 }
 
 /// A named collection of metrics.
@@ -427,22 +464,6 @@ impl Registry {
         self.execution.read().expect("metrics lock").contains(name)
     }
 
-    /// Handles to every registered histogram, sorted by name — for
-    /// exporters (e.g. Prometheus exposition) that need raw bucket
-    /// counts rather than the quantile summary a [`Snapshot`] carries.
-    #[must_use]
-    pub fn histogram_entries(&self) -> Vec<(String, Histogram)> {
-        let mut entries: Vec<(String, Histogram)> = self
-            .histograms
-            .read()
-            .expect("metrics lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-
     /// A point-in-time copy of every metric.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
@@ -466,7 +487,7 @@ impl Registry {
                 .read()
                 .expect("metrics lock")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| (k.clone(), v.load()))
                 .collect(),
         }
     }
@@ -479,8 +500,8 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    /// Histogram states by name.
+    pub histograms: BTreeMap<String, QuantileSketch>,
 }
 
 impl Snapshot {
@@ -523,17 +544,22 @@ impl Snapshot {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
             json::write_escaped(&mut out, name);
-            out.push_str(&format!(": {{\"count\": {}, \"sum\": ", h.count));
-            json::write_f64(&mut out, h.sum);
+            let mean = if h.count() == 0 {
+                f64::NAN
+            } else {
+                h.sum() / h.count() as f64
+            };
+            out.push_str(&format!(": {{\"count\": {}, \"sum\": ", h.count()));
+            json::write_f64(&mut out, h.sum());
             out.push_str(", \"mean\": ");
-            json::write_f64(&mut out, h.mean);
+            json::write_f64(&mut out, mean);
             out.push_str(", \"min\": ");
-            json::write_f64(&mut out, h.min);
+            json::write_f64(&mut out, h.min());
             out.push_str(", \"max\": ");
-            json::write_f64(&mut out, h.max);
-            for ((label, _), estimate) in QUANTILE_LABELS.iter().zip(h.quantiles) {
+            json::write_f64(&mut out, h.max());
+            for (label, q) in QUANTILE_LABELS {
                 out.push_str(&format!(", \"{label}\": "));
-                json::write_f64(&mut out, estimate);
+                json::write_f64(&mut out, h.quantile(q));
             }
             out.push('}');
         }
@@ -550,6 +576,7 @@ pub fn global() -> &'static Registry {
 
 #[cfg(test)]
 mod tests {
+    use super::geometry::{bucket_index, bucket_value, BUCKET_COUNT};
     use super::*;
 
     #[test]
@@ -587,12 +614,12 @@ mod tests {
 
     #[test]
     fn histogram_empty_state() {
-        let h = Histogram::default();
+        let h = Histogram::default().load();
         assert_eq!(h.count(), 0);
         assert!(h.quantile(0.5).is_nan());
-        let s = h.snapshot();
-        assert!(s.mean.is_nan());
-        assert_eq!(s.min, f64::INFINITY);
+        assert_eq!(h.min(), f64::INFINITY);
+        let json = Registry::new().snapshot().to_json();
+        assert!(json.contains("\"histograms\": {\n  }"), "{json}");
     }
 
     #[test]
@@ -613,12 +640,13 @@ mod tests {
             }
         });
         assert_eq!(r.counter("hot").get(), threads * per_thread);
-        assert_eq!(r.histogram("hist").count(), threads * per_thread);
+        let hist = r.histogram("hist").load();
+        assert_eq!(hist.count(), threads * per_thread);
         // The CAS-accumulated sum is exact here: every addend is a small
         // multiple of 1e-3, far above f64 rounding at this magnitude.
         let per_thread_sum: u64 = (0..per_thread).map(|i| 1 + i % 7).sum();
         let expected_sum = threads as f64 * 1e-3 * per_thread_sum as f64;
-        let sum = r.histogram("hist").sum();
+        let sum = hist.sum();
         assert!(
             (sum - expected_sum).abs() / expected_sum < 1e-9,
             "sum {sum} vs {expected_sum}"
@@ -633,6 +661,7 @@ mod tests {
         for i in 1..=10_000 {
             h.record(f64::from(i) / 10_000.0);
         }
+        let h = h.load();
         for (q, expected) in [(0.5, 0.5), (0.95, 0.95), (0.99, 0.99)] {
             let est = h.quantile(q);
             assert!(
@@ -655,6 +684,7 @@ mod tests {
             let u = (f64::from(i) + 0.5) / f64::from(n);
             h.record(-(1.0 - u).ln());
         }
+        let h = h.load();
         for q in [0.5f64, 0.95, 0.99, 0.999] {
             let expected = -(1.0 - q).ln();
             let est = h.quantile(q);
@@ -671,26 +701,33 @@ mod tests {
         for v in [0.0, 1e-12, 5e-4, 5e-4, 2.0, 1e9] {
             h.record(v);
         }
-        let buckets = h.cumulative_buckets();
-        assert_eq!(buckets.len(), BUCKET_COUNT + 1);
-        // Monotone, finite bounds ascending, closed by +Inf at count.
-        let mut last = 0;
+        let mut text = String::new();
+        crate::prom::write_histogram(&mut text, "t", "", &h.load());
+        // `(bound, cumulative count)` per `_bucket` line.
+        let buckets: Vec<(f64, u64)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("t_bucket{le=\""))
+            .map(|rest| {
+                let (bound, count) = rest.split_once("\"} ").unwrap();
+                let bound = if bound == "+Inf" {
+                    f64::INFINITY
+                } else {
+                    bound.parse().unwrap()
+                };
+                (bound, count.parse().unwrap())
+            })
+            .collect();
+        // Ascending bounds, cumulative counts, closed by +Inf at count.
         for window in buckets.windows(2) {
-            assert!(window[0].0 < window[1].0 || window[1].0.is_infinite());
+            assert!(window[0].0 < window[1].0, "{text}");
+            assert!(window[0].1 <= window[1].1, "{text}");
         }
-        for &(_, c) in &buckets {
-            assert!(c >= last);
-            last = c;
-        }
-        assert_eq!(buckets.last().unwrap().0, f64::INFINITY);
-        assert_eq!(buckets.last().unwrap().1, h.count());
+        assert_eq!(buckets.last(), Some(&(f64::INFINITY, 6)));
         // Underflow observations (0.0 and 1e-12) count under the first
-        // regular bound.
-        assert_eq!(buckets[0].1, 2);
-        // Every value lands at or below its reported bound.
-        let le = |v: f64| buckets.iter().find(|&&(b, _)| v <= b).unwrap().1;
-        assert!(le(5e-4) >= 4);
-        assert_eq!(le(2.0), 5);
+        // regular bound; the 1e9 overflow only shows in +Inf.
+        assert_eq!(buckets[0], (geometry::bucket_bound(1), 2));
+        assert_eq!(buckets.len(), 4, "{text}");
+        assert!(text.contains("t_count 6"), "{text}");
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl SpanContext {
 ///     let _span = Span::enter(registry.histogram("solver.iteration"));
 ///     // ... timed work ...
 /// } // recorded here
-/// assert_eq!(registry.histogram("solver.iteration").count(), 1);
+/// assert_eq!(registry.histogram("solver.iteration").load().count(), 1);
 /// ```
 #[derive(Debug)]
 pub struct Span {
@@ -106,7 +106,7 @@ mod tests {
         {
             let _span = Span::enter(r.histogram("t"));
         }
-        assert_eq!(r.histogram("t").count(), 1);
+        assert_eq!(r.histogram("t").load().count(), 1);
     }
 
     #[test]
@@ -116,9 +116,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let elapsed = span.finish();
         assert!(elapsed >= 0.002, "elapsed {elapsed}");
-        assert_eq!(r.histogram("t").count(), 1);
-        let s = r.histogram("t").snapshot();
-        assert!(s.min >= 0.002);
+        assert_eq!(r.histogram("t").load().count(), 1);
+        assert!(r.histogram("t").load().min() >= 0.002);
     }
 
     #[test]
@@ -135,12 +134,12 @@ mod tests {
 
     #[test]
     fn global_span_macro_compiles_and_records() {
-        let before = crate::global().histogram("test.span_macro").count();
+        let before = crate::global().histogram("test.span_macro").load().count();
         {
             let _span = crate::span!("test.span_macro");
         }
         assert_eq!(
-            crate::global().histogram("test.span_macro").count(),
+            crate::global().histogram("test.span_macro").load().count(),
             before + 1
         );
     }

@@ -158,15 +158,9 @@ impl GopModel {
 
     /// Mean frame size over one GOP, bytes.
     #[must_use]
-    pub fn mean_frame_size(&self) -> f64 {
+    fn mean_frame_size(&self) -> f64 {
         let total: f64 = self.pattern.iter().map(|t| self.mean_of(*t)).sum();
         total / self.pattern.len() as f64
-    }
-
-    /// Frames per second.
-    #[must_use]
-    pub fn frame_rate(&self) -> f64 {
-        self.frame_rate
     }
 
     fn mean_of(&self, t: FrameType) -> f64 {
@@ -178,7 +172,7 @@ impl GopModel {
     }
 
     /// Generate `frames` frame sizes in display order.
-    pub fn generate_frames<R: Rng + ?Sized>(&self, frames: usize, rng: &mut R) -> Vec<f64> {
+    fn generate_frames<R: Rng + ?Sized>(&self, frames: usize, rng: &mut R) -> Vec<f64> {
         let mut out = Vec::with_capacity(frames);
         // Scene modulation state (log domain), stationary start.
         let mut scene_level = if self.scene_sigma > 0.0 {
@@ -274,7 +268,6 @@ mod tests {
         let m = GopModel::mpeg2_default();
         assert!((m.mean_bandwidth_bits() - 4e6).abs() < 1.0);
         assert!((m.mean_frame_size() - 20_000.0).abs() < 1e-9);
-        assert_eq!(m.frame_rate(), 25.0);
     }
 
     #[test]

@@ -98,16 +98,6 @@ impl Zipf {
         }
     }
 
-    /// Cumulative probability of the `k` most popular ranks — the traffic
-    /// share of the "hot set" of size `k`. Clamped to 1 for `k ≥ n`.
-    #[must_use]
-    pub fn head_share(&self, k: usize) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        self.cdf[k.min(self.cdf.len()) - 1]
-    }
-
     /// Draw a rank (0-based; 0 is the most popular).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
@@ -136,9 +126,6 @@ mod tests {
             assert!((z.probability(i) - 0.25).abs() < 1e-12);
         }
         assert_eq!(z.probability(4), 0.0);
-        assert!((z.head_share(2) - 0.5).abs() < 1e-12);
-        assert_eq!(z.head_share(0), 0.0);
-        assert_eq!(z.head_share(99), 1.0);
     }
 
     #[test]
@@ -180,7 +167,9 @@ mod tests {
     fn higher_skew_concentrates_the_head() {
         let flat = Zipf::new(100, 0.5).unwrap();
         let steep = Zipf::new(100, 1.5).unwrap();
-        assert!(steep.head_share(10) > flat.head_share(10));
-        assert!(steep.head_share(10) > 0.8);
+        // Traffic share of the ten most popular titles.
+        let head = |z: &Zipf| (0..10).map(|i| z.probability(i)).sum::<f64>();
+        assert!(head(&steep) > head(&flat));
+        assert!(head(&steep) > 0.8);
     }
 }

@@ -183,12 +183,6 @@ impl ObjectSpec {
             memo: None,
         }
     }
-
-    /// Expected total object size, bytes.
-    #[must_use]
-    pub fn expected_bytes(&self) -> f64 {
-        self.sizes.mean() * f64::from(self.rounds)
-    }
 }
 
 fn positive_rounds(rounds: u32) -> Result<u32, WorkloadError> {
@@ -329,8 +323,6 @@ mod tests {
         let o = ObjectSpec::paper_default();
         assert_eq!(o.rounds, 1200);
         assert_eq!(o.sizes.mean(), 200_000.0);
-        // 1200 rounds × 200 KB = 240 MB expected.
-        assert_eq!(o.expected_bytes(), 240e6);
     }
 
     #[test]
@@ -515,9 +507,6 @@ mod tests {
         assert!(!c.is_empty());
         assert!(c.get("feature-movie").is_some());
         assert!(c.get("nonexistent").is_none());
-        // The movie dominates storage.
-        let movie = c.get("feature-movie").unwrap();
-        assert!(movie.expected_bytes() > 2e9);
     }
 
     #[test]

@@ -39,6 +39,7 @@ fn simulator_emits_one_parseable_event_per_round_and_fills_the_registry() {
     let rounds_before = mzd_telemetry::global().counter("sim.rounds").get();
     let service_before = mzd_telemetry::global()
         .histogram("sim.round.service_time")
+        .load()
         .count();
 
     let lines = run_capture();
@@ -68,6 +69,7 @@ fn simulator_emits_one_parseable_event_per_round_and_fills_the_registry() {
     let rounds_after = mzd_telemetry::global().counter("sim.rounds").get();
     let service_after = mzd_telemetry::global()
         .histogram("sim.round.service_time")
+        .load()
         .count();
     assert!(rounds_after >= rounds_before + ROUNDS);
     assert!(service_after >= service_before + ROUNDS);
