@@ -43,7 +43,7 @@ use mzd_workload::ObjectSpec;
 use crate::dispatcher::{Dispatcher, LeaseTable, NodeView, Pending};
 use crate::guarantee::ClusterGuarantee;
 use crate::metrics::{ClusterMetrics, HealthMetrics};
-use crate::node::{Node, ServerNode};
+use crate::node::ServerNode;
 use crate::placement::Placement;
 use crate::ClusterError;
 
@@ -320,9 +320,7 @@ pub struct Cluster {
     dispatcher: Dispatcher,
     lease: LeaseTable,
     nodes: Vec<ServerNode>,
-    /// seq → (node, node-local stream id) for hosted streams.
-    hosted: BTreeMap<u64, (u32, u64)>,
-    /// (node, node-local id) → seq — the inverse, for report mapping.
+    /// (node, node-local stream id) → seq for every hosted stream.
     by_host: BTreeMap<(u32, u64), u64>,
     /// seq → life-of-stream counters for every in-flight stream.
     meta: BTreeMap<u64, StreamMeta>,
@@ -444,7 +442,6 @@ impl Cluster {
             dispatcher,
             lease,
             nodes,
-            hosted: BTreeMap::new(),
             by_host: BTreeMap::new(),
             meta: BTreeMap::new(),
             unrouted: Vec::new(),
@@ -575,7 +572,7 @@ impl Cluster {
     /// Streams the fleet is currently responsible for: hosted plus
     /// queued plus held unrouted.
     fn committed(&self) -> u64 {
-        (self.hosted.len() + self.dispatcher.queued_total() + self.unrouted.len()) as u64
+        (self.by_host.len() + self.dispatcher.queued_total() + self.unrouted.len()) as u64
     }
 
     /// Whether the health subsystem has `node` ejected. Ejection is
@@ -604,7 +601,7 @@ impl Cluster {
             s.config_echo.push(("node".into(), i.to_string()));
             let recorder = Recorder::new(s);
             self.recorders[i as usize] = Some(recorder.clone());
-            node.attach_recorder(recorder);
+            node.server.attach_recorder(recorder);
         }
     }
 
@@ -703,7 +700,7 @@ impl Cluster {
     /// Streams hosted fleet-wide right now.
     #[must_use]
     pub fn active_streams(&self) -> usize {
-        self.hosted.len()
+        self.by_host.len()
     }
 
     /// Requests waiting in queues (plus any held unrouted).
@@ -737,7 +734,7 @@ impl Cluster {
             round: self.round,
             nodes: self.cfg.nodes,
             live_nodes: self.lease.live_count(),
-            active_streams: self.hosted.len(),
+            active_streams: self.by_host.len(),
             waiting: self.waiting(),
             completed: self.completed.len(),
             total_glitches: self.total_glitches,
@@ -839,7 +836,7 @@ impl Cluster {
             .iter()
             .map(|n| {
                 let id = n.id();
-                let active = n.active_streams() as u32;
+                let active = n.server.active_streams() as u32;
                 let queued = self.dispatcher.queue_len(id) as u32;
                 NodeView {
                     node: id,
@@ -849,7 +846,7 @@ impl Cluster {
                         .node_capacity
                         .saturating_sub(active)
                         .saturating_sub(queued),
-                    min_disk_load: n.per_disk_load().iter().copied().min().unwrap_or(0),
+                    min_disk_load: n.server.per_disk_load().iter().copied().min().unwrap_or(0),
                 }
             })
             .collect()
@@ -884,14 +881,24 @@ impl Cluster {
         round_us: u64,
         report: &mut ClusterRoundReport,
     ) {
-        let manifest = self.nodes[from as usize].evacuate();
-        for e in manifest {
+        // Close every hosted stream first, so routing below sees the
+        // evacuated node empty. The manifest is sorted by local id
+        // (admission order), which keeps migration deterministic.
+        let server = &mut self.nodes[from as usize].server;
+        let manifest = server.active_session_info();
+        for info in &manifest {
+            // `active_session_info` only lists live sessions; closing
+            // them cannot fail.
+            server
+                .close_stream(info.handle)
+                .expect("evacuating a live session");
+        }
+        for info in manifest {
             let seq = self
                 .by_host
-                .remove(&(from, e.local_id))
+                .remove(&(from, info.handle.id()))
                 .expect("evacuated stream was hosted");
-            self.hosted.remove(&seq);
-            let remaining = e.object.rounds - e.fragments_consumed;
+            let remaining = info.object.rounds - info.fragments_consumed;
             if remaining == 0 {
                 let record = self.finish_stream(seq);
                 report.completed.push(record);
@@ -917,7 +924,7 @@ impl Cluster {
             }
             let pending = Pending {
                 seq,
-                object: e
+                object: info
                     .object
                     .with_rounds(remaining)
                     .expect("an unfinished stream has rounds left"),
@@ -1008,7 +1015,7 @@ impl Cluster {
             while self.dispatcher.peek(i).is_some() {
                 if !matches!(
                     self.admission
-                        .decide(&self.nodes[i as usize].per_disk_load()),
+                        .decide(&self.nodes[i as usize].server.per_disk_load()),
                     AdmissionDecision::Admit
                 ) {
                     break;
@@ -1017,17 +1024,22 @@ impl Cluster {
                 // Hand the submission-time root to the adopting node:
                 // its admit/round spans stitch under it.
                 let root = self.stream_roots.get(&pending.seq).copied();
-                let node = &mut self.nodes[i as usize];
-                match node.try_open_traced(pending.object.clone(), root) {
-                    Some(local_id) => {
+                let server = &mut self.nodes[i as usize].server;
+                let opened = match root {
+                    Some(root) => server.open_stream_with_root(pending.object.clone(), root),
+                    None => server.open_stream(pending.object.clone()),
+                };
+                match opened {
+                    Ok(handle) => {
                         if pending.migrated {
                             // Riding the degradation ladder: the
                             // adopter may serve this stream a reduced
                             // rendition instead of glitching everyone.
-                            node.mark_degradable(local_id);
+                            server
+                                .set_degradable(handle, true)
+                                .expect("a just-opened stream is live");
                         }
-                        self.hosted.insert(pending.seq, (i, local_id));
-                        self.by_host.insert((i, local_id), pending.seq);
+                        self.by_host.insert((i, handle.id()), pending.seq);
                         let meta = self.meta.get_mut(&pending.seq).expect("queued stream meta");
                         meta.glitches = meta.glitches.max(pending.carried_glitches);
                         report.admitted += 1;
@@ -1047,7 +1059,7 @@ impl Cluster {
                             );
                         }
                     }
-                    None => {
+                    Err(_) => {
                         // Node backstop refused (should not out-admit
                         // the composed cap, but the node has the last
                         // word): put it back at the queue front.
@@ -1103,7 +1115,7 @@ impl Cluster {
         // RNG, so the fleet round is byte-identical at any job count.
         let stepped = mzd_par::par_map_owned(std::mem::take(&mut self.nodes), |mut node| {
             let r = if operational[node.id() as usize] {
-                Some(node.step_round())
+                Some(node.server.run_round())
             } else {
                 None
             };
@@ -1130,9 +1142,9 @@ impl Cluster {
                 let slack = spare_slack.entry(spare).or_insert_with(|| {
                     reports[spare as usize].as_ref().map_or(0.0, |r| {
                         let worst = r
-                            .disk_service_times
+                            .disks
                             .iter()
-                            .fold(0.0_f64, |acc, &t| acc.max(t));
+                            .fold(0.0_f64, |acc, d| acc.max(d.service_time));
                         (round_length - worst).max(0.0)
                     })
                 });
@@ -1156,17 +1168,19 @@ impl Cluster {
             };
             self.lease.renew(i, round);
             self.metrics.lease_renewals.inc();
-            report.late_disks += node_report.late_disks;
+            report.late_disks += node_report.disks.iter().filter(|d| d.late).count() as u32;
             // Feed the fleet observability plane: one service-time
             // sample per disk into the node's labeled sketch, merged
             // exactly at exposition time.
-            for &service_time in &node_report.disk_service_times {
+            let service_times: Vec<f64> =
+                node_report.disks.iter().map(|d| d.service_time).collect();
+            for &service_time in &service_times {
                 self.sketches
                     .node_mut(i)
                     .record(SKETCH_SERVICE_TIME, service_time);
             }
-            report.node_service_times[i as usize] = node_report.disk_service_times;
-            for local in node_report.glitched {
+            report.node_service_times[i as usize] = service_times;
+            for local in node_report.glitched_streams {
                 let seq = self.by_host[&(i, local)];
                 if covered.contains(&seq) {
                     // The winning hedge delivered this stream's round
@@ -1181,12 +1195,11 @@ impl Cluster {
                 self.total_glitches += 1;
                 self.metrics.glitches.inc();
             }
-            for local in node_report.completed {
+            for local in node_report.completed_streams {
                 let seq = self
                     .by_host
                     .remove(&(i, local))
                     .expect("completed stream was hosted");
-                self.hosted.remove(&seq);
                 let record = self.finish_stream(seq);
                 report.completed.push(record);
             }
@@ -1249,7 +1262,7 @@ impl Cluster {
                         return None;
                     }
                     let sweep: f64 = report.node_service_times[i as usize].iter().sum();
-                    let load: u32 = self.nodes[i as usize].per_disk_load().iter().sum();
+                    let load: u32 = self.nodes[i as usize].server.per_disk_load().iter().sum();
                     // A zero sweep or an empty node carries no signal
                     // (and an idle-heavy fleet must not collapse the
                     // baseline median to zero).
@@ -1308,7 +1321,7 @@ impl Cluster {
         }
 
         // 8. Gauges and the round counter.
-        self.metrics.streams_active.set(self.hosted.len() as f64);
+        self.metrics.streams_active.set(self.by_host.len() as f64);
         self.metrics.streams_waiting.set(self.waiting() as f64);
         self.metrics
             .nodes_available
@@ -1455,7 +1468,7 @@ mod tests {
         for _ in 0..4 {
             fleet.run_round();
         }
-        let victim_streams = fleet.node(1).active_streams();
+        let victim_streams = fleet.node(1).server().active_streams();
         assert!(victim_streams > 0, "node 1 must host streams before dying");
         // Lease = 2: silent at rounds 4 and 5, declared failed at
         // round 5 (renewed last at round 3, lease runs to 3 + 2 = 5).
@@ -1469,7 +1482,7 @@ mod tests {
             }
         }
         assert_eq!(failed_round, Some(5), "failure must land at lease expiry");
-        assert_eq!(fleet.node(1).active_streams(), 0);
+        assert_eq!(fleet.node(1).server().active_streams(), 0);
         assert_eq!(migrations.len(), victim_streams);
         for m in &migrations {
             assert_eq!(m.from, 1);
@@ -1524,6 +1537,37 @@ mod tests {
 
     fn failing_fleet(seed: u64) -> Cluster {
         failing_fleet_with(seed, |_| ())
+    }
+
+    /// The fleet's one stream-identity map, its status snapshot, and the
+    /// nodes' own session lists must agree on how many streams are
+    /// hosted.
+    fn assert_hosted_counts_agree(fleet: &Cluster) {
+        let on_nodes: usize = (0..fleet.config().nodes)
+            .map(|i| fleet.node(i).server().active_streams())
+            .sum();
+        let round = fleet.round();
+        assert_eq!(
+            fleet.active_streams(),
+            fleet.status().active_streams,
+            "round {round}"
+        );
+        assert_eq!(fleet.active_streams(), on_nodes, "round {round}");
+    }
+
+    #[test]
+    fn hosted_counts_agree_through_lease_expiry_and_revival() {
+        let mut fleet = failing_fleet(9);
+        let (mut failed, mut revived) = (false, false);
+        // Outage [4, 54): the lease lapses at round 5, the node revives
+        // at 54 and pulls again.
+        for _ in 0..70 {
+            let r = fleet.run_round();
+            failed |= !r.failed_nodes.is_empty();
+            revived |= !r.revived_nodes.is_empty();
+            assert_hosted_counts_agree(&fleet);
+        }
+        assert!(failed && revived, "node 1 must fail and revive");
     }
 
     #[test]
@@ -1744,6 +1788,7 @@ mod tests {
         let mut max_rung = 0u8;
         for _ in 0..280 {
             fleet.run_round();
+            assert_hosted_counts_agree(&fleet);
             let s = fleet.health_status().unwrap();
             min_effective = min_effective.min(s.recomposed.effective_capacity);
             max_rung = max_rung.max(s.recomposed.degrade_rung);
@@ -1805,7 +1850,11 @@ mod tests {
         }
         let s = fleet.health_status().unwrap();
         assert!(s.ejections >= 1, "persistent slow node must eject: {s:?}");
-        assert_eq!(fleet.node(0).active_streams(), 0, "ejected node drained");
+        assert_eq!(
+            fleet.node(0).server().active_streams(),
+            0,
+            "ejected node drained"
+        );
         // Two survivors re-compose to one serving member + one spare:
         // the committed load no longer fits, so admission freezes.
         assert!(s.recomposed.frozen, "{s:?}");

@@ -16,9 +16,7 @@
 //! *migrated* off a failed node keeps its original `seq` and is
 //! re-inserted at its sorted position — **ahead of every newer
 //! arrival**. A stream therefore never loses its place in line by
-//! being unlucky enough to sit on the node that died. This mirrors the
-//! invariant `mzd_server::VideoServer::drain_wait_queue` documents for
-//! the single-node wait queue.
+//! being unlucky enough to sit on the node that died.
 //!
 //! # Leases
 //!

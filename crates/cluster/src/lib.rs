@@ -10,10 +10,10 @@
 //!
 //! The crate is organized as four layers:
 //!
-//! * **[`node`]** — the [`Node`] trait: the trait-sized surface of one
-//!   fleet member (identity, capacity, stream open, one round step,
-//!   evacuation). [`ServerNode`] implements it over `VideoServer`;
-//!   tests implement it over scripted mocks.
+//! * **[`node`]** — [`ServerNode`]: one fleet member, a plain
+//!   `VideoServer` plus its fleet id and the SLO and tracing setup the
+//!   fleet needs. The cluster opens streams on it, steps it, and reads
+//!   the server's own round reports and session manifests directly.
 //! * **[`placement`]** — deterministic stream placement: a consistent-
 //!   hash ring (virtual nodes) picks the primary; a striping-aware
 //!   rendezvous ordering ranks the fallbacks, so node failure moves only
@@ -24,8 +24,8 @@
 //!   when they have admission headroom; a node that misses lease renewal
 //!   for [`ClusterConfig::lease_rounds`] consecutive rounds is declared
 //!   failed and its streams are deterministically requeued onto the
-//!   survivors — re-entering *ahead of* newer arrivals, the same
-//!   fairness invariant `VideoServer::drain_wait_queue` documents.
+//!   survivors — re-entering *ahead of* newer arrivals, because each
+//!   queue is ordered by the stream's original sequence number.
 //! * **[`guarantee`]** — the analytic composition: per-node Chernoff
 //!   bounds (eq. 3.3.3/3.3.5) compose into a cluster-wide `p_error`
 //!   with a deterministic glitch charge for lease outage and migration
@@ -69,7 +69,7 @@ pub use cluster::{
 };
 pub use dispatcher::{Dispatcher, LeaseTable, NodeView, Pending};
 pub use guarantee::ClusterGuarantee;
-pub use node::{EvacuatedStream, Node, NodeRoundReport, ServerNode};
+pub use node::ServerNode;
 pub use placement::Placement;
 
 /// Errors from cluster configuration and operation.

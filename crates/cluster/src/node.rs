@@ -1,88 +1,19 @@
-//! The [`Node`] abstraction: the trait-sized surface of one fleet
-//! member.
-//!
-//! A node is whatever can host streams, advance one round at a time,
-//! and hand its streams back when the cluster declares it failed. The
-//! production implementation, [`ServerNode`], wraps the full
-//! [`mzd_server::VideoServer`] (config + admission + round loop);
-//! tests drive the dispatcher and lease machinery with scripted mock
-//! nodes instead.
+//! One fleet member: a full [`mzd_server::VideoServer`] plus what the
+//! fleet adds to it — a fleet-wide id, the SLO layer a degradation
+//! ladder needs, and the per-node span-id base a stitched trace needs.
+//! The [`crate::Cluster`] drives the server directly: it opens streams,
+//! steps rounds, and reads the server's own round reports and session
+//! manifests.
 
-use mzd_server::{ServerConfig, SloSettings, StreamHandle, VideoServer};
-use mzd_workload::ObjectSpec;
+use mzd_server::{ServerConfig, SloSettings, VideoServer};
 
 use crate::ClusterError;
 
-/// What one node reports after stepping one round.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NodeRoundReport {
-    /// Node-local ids of streams that glitched this round.
-    pub glitched: Vec<u64>,
-    /// Node-local ids of streams that finished play-out this round.
-    pub completed: Vec<u64>,
-    /// Disks that overran the round.
-    pub late_disks: u32,
-    /// Per-disk sweep service times this round (seconds), in disk
-    /// order — the samples the fleet observability plane feeds into
-    /// its per-node quantile sketches.
-    pub disk_service_times: Vec<f64>,
-}
-
-/// One stream pulled off a failed node, with enough state to resume it
-/// elsewhere.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvacuatedStream {
-    /// The stream's id on the failed node.
-    pub local_id: u64,
-    /// The object being played out (full original spec).
-    pub object: ObjectSpec,
-    /// Fragments already consumed — the resume point.
-    pub fragments_consumed: u32,
-    /// Glitches charged on the failed node.
-    pub glitches: u64,
-}
-
-/// The trait-sized surface the cluster needs from one fleet member:
-/// identity and capacity, admission-gated stream open, one round of the
-/// serving loop, and evacuation on failure. Everything else the full
-/// server offers (caching, SLO, tracing, recorder) stays behind the
-/// implementation.
-pub trait Node {
-    /// This node's fleet-wide id (its slot index).
-    fn id(&self) -> u32;
-    /// Number of disks behind this node.
-    fn disks(&self) -> u32;
-    /// Active streams hosted right now.
-    fn active_streams(&self) -> usize;
-    /// Per-disk active-stream counts for the next round — the vector the
-    /// cluster-level admission controller decides on, and whose minimum
-    /// the striping-aware placement fallback ranks by.
-    fn per_disk_load(&self) -> Vec<u32>;
-    /// Try to open a stream; `Some(local id)` on admission, `None` if
-    /// the node's own controller rejects (the cluster's composed limit
-    /// is checked by the caller first — this is the node's backstop).
-    fn try_open(&mut self, object: ObjectSpec) -> Option<u64>;
-    /// Mark a hosted stream as degradable (a migrated stream accepts a
-    /// reduced-bitrate rendition at degradation rung 3+, so absorbing a
-    /// failed node's load rides the existing ladder instead of glitching
-    /// everyone). Returns whether the stream was found.
-    fn mark_degradable(&mut self, local_id: u64) -> bool;
-    /// Advance one round.
-    fn step_round(&mut self) -> NodeRoundReport;
-    /// Close every hosted stream and return the manifest, sorted by
-    /// local id (admission order) so migration is deterministic.
-    fn evacuate(&mut self) -> Vec<EvacuatedStream>;
-}
-
-/// The production [`Node`]: a full [`VideoServer`] plus the handle
-/// bookkeeping the trait surface needs.
+/// A fleet member: one [`VideoServer`] and its slot index.
 #[derive(Debug)]
 pub struct ServerNode {
     id: u32,
-    server: VideoServer,
-    /// Handles by local id — `StreamHandle` is opaque, so the node keeps
-    /// the map from the ids it reports to the handles it got.
-    handles: std::collections::BTreeMap<u64, StreamHandle>,
+    pub(crate) server: VideoServer,
 }
 
 impl ServerNode {
@@ -99,11 +30,13 @@ impl ServerNode {
         if degrade {
             server.enable_slo(SloSettings::for_target(target))?;
         }
-        Ok(Self {
-            id,
-            server,
-            handles: std::collections::BTreeMap::new(),
-        })
+        Ok(Self { id, server })
+    }
+
+    /// This node's fleet-wide id (its slot index).
+    #[must_use]
+    pub fn id(&self) -> u32 {
+        self.id
     }
 
     /// The wrapped server, for read-only inspection (reports, tests).
@@ -127,96 +60,12 @@ impl ServerNode {
         self.server.set_trace_span_base(span_base);
         Ok(())
     }
-
-    /// Attach a flight recorder to the wrapped server (the server
-    /// pushes one [`mzd_prof::RoundSnapshot`] per round into it).
-    pub fn attach_recorder(&mut self, recorder: mzd_prof::Recorder) {
-        self.server.attach_recorder(recorder);
-    }
-
-    /// [`Node::try_open`] with an externally minted root span adopted
-    /// for the stream — how the dispatcher's submission-time
-    /// [`mzd_telemetry::SpanContext`] stitches into this node's trace
-    /// so a migrated stream stays one causal chain across hosts.
-    pub fn try_open_traced(
-        &mut self,
-        object: ObjectSpec,
-        root: Option<mzd_telemetry::SpanContext>,
-    ) -> Option<u64> {
-        let handle = match root {
-            Some(root) => self.server.open_stream_with_root(object, root).ok()?,
-            None => self.server.open_stream(object).ok()?,
-        };
-        self.handles.insert(handle.id(), handle);
-        Some(handle.id())
-    }
-}
-
-impl Node for ServerNode {
-    fn id(&self) -> u32 {
-        self.id
-    }
-
-    fn disks(&self) -> u32 {
-        self.server.config().disks
-    }
-
-    fn active_streams(&self) -> usize {
-        self.server.active_streams()
-    }
-
-    fn per_disk_load(&self) -> Vec<u32> {
-        self.server.per_disk_load()
-    }
-
-    fn try_open(&mut self, object: ObjectSpec) -> Option<u64> {
-        self.try_open_traced(object, None)
-    }
-
-    fn mark_degradable(&mut self, local_id: u64) -> bool {
-        match self.handles.get(&local_id) {
-            Some(&h) => self.server.set_degradable(h, true).is_ok(),
-            None => false,
-        }
-    }
-
-    fn step_round(&mut self) -> NodeRoundReport {
-        let report = self.server.run_round();
-        for id in &report.completed_streams {
-            self.handles.remove(id);
-        }
-        NodeRoundReport {
-            late_disks: report.disks.iter().filter(|d| d.late).count() as u32,
-            disk_service_times: report.disks.iter().map(|d| d.service_time).collect(),
-            glitched: report.glitched_streams,
-            completed: report.completed_streams,
-        }
-    }
-
-    fn evacuate(&mut self) -> Vec<EvacuatedStream> {
-        let manifest = self.server.active_session_info();
-        let mut out = Vec::with_capacity(manifest.len());
-        for info in manifest {
-            // `active_session_info` only lists live sessions; closing
-            // them cannot fail.
-            self.server
-                .close_stream(info.handle)
-                .expect("evacuating a live session");
-            self.handles.remove(&info.handle.id());
-            out.push(EvacuatedStream {
-                local_id: info.handle.id(),
-                object: info.object,
-                fragments_consumed: info.fragments_consumed,
-                glitches: info.glitches,
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mzd_workload::ObjectSpec;
 
     fn node(disks: u32, seed: u64) -> ServerNode {
         ServerNode::new(3, ServerConfig::paper_reference(disks).unwrap(), seed).unwrap()
@@ -230,39 +79,47 @@ mod tests {
     fn server_node_round_trip() {
         let mut n = node(2, 5);
         assert_eq!(n.id(), 3);
-        assert_eq!(n.disks(), 2);
-        assert_eq!(n.per_disk_load(), vec![0, 0]);
-        let a = n.try_open(obj(3)).unwrap();
-        let b = n.try_open(obj(10)).unwrap();
+        assert_eq!(n.server().config().disks, 2);
+        assert_eq!(n.server().per_disk_load(), vec![0, 0]);
+        // No degradation ladder, so no SLO layer.
+        assert!(n.server().slo_status().is_none());
+        let a = n.server.open_stream(obj(3)).unwrap();
+        let b = n.server.open_stream(obj(10)).unwrap();
         assert_ne!(a, b);
-        assert_eq!(n.active_streams(), 2);
-        assert!(n.mark_degradable(b));
-        assert!(!n.mark_degradable(999));
+        assert_eq!(n.server().active_streams(), 2);
+        assert!(n.server.set_degradable(b, true).is_ok());
         for _ in 0..3 {
-            n.step_round();
+            n.server.run_round();
         }
-        // The 3-round object completed and its handle is forgotten.
-        assert_eq!(n.active_streams(), 1);
-        assert!(!n.mark_degradable(a));
+        // The 3-round object completed and its handle is no longer live.
+        assert_eq!(n.server().active_streams(), 1);
+        assert!(n.server.set_degradable(a, true).is_err());
     }
 
     #[test]
     fn evacuation_returns_ordered_manifest_and_empties_node() {
         let mut n = node(2, 6);
-        let ids: Vec<u64> = (0..5).map(|_| n.try_open(obj(20)).unwrap()).collect();
-        n.step_round();
-        n.step_round();
-        let manifest = n.evacuate();
-        assert_eq!(n.active_streams(), 0);
+        let ids: Vec<u64> = (0..5)
+            .map(|_| n.server.open_stream(obj(20)).unwrap().id())
+            .collect();
+        n.server.run_round();
+        n.server.run_round();
+        // What `Cluster` does on lease expiry or ejection: read the
+        // manifest, then close every listed session.
+        let manifest = n.server().active_session_info();
+        for info in &manifest {
+            n.server.close_stream(info.handle).unwrap();
+        }
+        assert_eq!(n.server().active_streams(), 0);
         assert_eq!(manifest.len(), 5);
-        let got: Vec<u64> = manifest.iter().map(|e| e.local_id).collect();
+        let got: Vec<u64> = manifest.iter().map(|e| e.handle.id()).collect();
         assert_eq!(got, ids);
         for e in &manifest {
             assert_eq!(e.fragments_consumed, 2);
             assert_eq!(e.object.rounds, 20);
         }
         // A fresh open works after evacuation.
-        assert!(n.try_open(obj(4)).is_some());
+        assert!(n.server.open_stream(obj(4)).is_ok());
     }
 
     #[test]
@@ -270,8 +127,8 @@ mod tests {
         let mut n = node(1, 7);
         let limit = n.server().admission().per_disk_limit();
         for _ in 0..limit {
-            assert!(n.try_open(obj(50)).is_some());
+            assert!(n.server.open_stream(obj(50)).is_ok());
         }
-        assert!(n.try_open(obj(50)).is_none());
+        assert!(n.server.open_stream(obj(50)).is_err());
     }
 }

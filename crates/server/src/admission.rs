@@ -5,7 +5,8 @@
 //! decides admissions with a comparison — the paper's §5 design ("a lookup
 //! table with precomputed values of N_max … incurs almost no run-time
 //! overhead"). Re-evaluation is only needed when the disk configuration or
-//! the workload statistics change ([`AdmissionController::retarget`]).
+//! the workload statistics change, by building a fresh controller with
+//! [`AdmissionController::from_model`].
 
 use crate::ServerError;
 use mzd_core::GuaranteeModel;
@@ -245,24 +246,6 @@ impl AdmissionController {
             }
         }
     }
-
-    /// Recompute the limit after a configuration or workload change (§5:
-    /// "the table has to be updated … only if the disk configuration or
-    /// general data characteristics change").
-    ///
-    /// # Errors
-    /// Propagates model-evaluation errors.
-    pub fn retarget(&mut self, model: &GuaranteeModel) -> Result<(), ServerError> {
-        let mut fresh = Self::from_model(model, self.round_length, self.target)?;
-        // Cache-aware state survives a workload retarget: the measured hit
-        // ratio describes the traffic, not the disk model. Likewise an
-        // active SLO freeze: the alert clears on evidence, not on retune.
-        fresh.cache_safety = self.cache_safety;
-        fresh.hit_ratio_lower_bound = self.hit_ratio_lower_bound;
-        fresh.over_admission_frozen = self.over_admission_frozen;
-        *self = fresh;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -323,30 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn retarget_tracks_new_model() {
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.01 },
-        )
-        .unwrap();
-        let before = c.per_disk_limit();
-        // Same model → same limit.
-        c.retarget(&model()).unwrap();
-        assert_eq!(c.per_disk_limit(), before);
-        // A heavier workload (double mean size) lowers the limit.
-        let heavy = GuaranteeModel::new(
-            model().disk().clone(),
-            400_000.0,
-            4e10,
-            mzd_core::ZoneHandling::Discrete,
-        )
-        .unwrap();
-        c.retarget(&heavy).unwrap();
-        assert!(c.per_disk_limit() < before);
-    }
-
-    #[test]
     fn cache_aware_mode_inflates_conservatively() {
         let mut c = AdmissionController::from_model(
             &model(),
@@ -393,22 +352,6 @@ mod tests {
         // Invalid safety rejected.
         assert!(c.enable_cache_aware(-0.1).is_err());
         assert!(c.enable_cache_aware(1.1).is_err());
-    }
-
-    #[test]
-    fn retarget_preserves_cache_aware_state() {
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.01 },
-        )
-        .unwrap();
-        c.enable_cache_aware(0.2).unwrap();
-        c.set_hit_ratio_lower_bound(0.5);
-        let effective_before = c.effective_per_disk_limit();
-        c.retarget(&model()).unwrap();
-        assert!(c.is_cache_aware());
-        assert_eq!(c.effective_per_disk_limit(), effective_before);
     }
 
     #[test]
@@ -529,10 +472,7 @@ mod tests {
         // Measurements fed while frozen are retained, not applied.
         c.set_hit_ratio_lower_bound(0.8);
         assert_eq!(c.effective_per_disk_limit(), base);
-        // A retarget does not silently thaw.
-        c.retarget(&model()).unwrap();
         assert!(c.over_admission_frozen());
-        assert_eq!(c.effective_per_disk_limit(), base);
 
         c.set_over_admission_frozen(false);
         assert!(c.effective_per_disk_limit() > inflated, "h rose to 0.8");

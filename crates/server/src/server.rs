@@ -42,7 +42,6 @@ struct ServerMetrics {
     accepted: mzd_telemetry::Counter,
     rejected: mzd_telemetry::Counter,
     queued: mzd_telemetry::Counter,
-    requeued: mzd_telemetry::Counter,
     queue_depth: mzd_telemetry::Histogram,
     buffer_occupancy: mzd_telemetry::Gauge,
     waiting: mzd_telemetry::Gauge,
@@ -63,7 +62,6 @@ impl ServerMetrics {
             accepted: g.counter("server.admission.accepted"),
             rejected: g.counter("server.admission.rejected"),
             queued: g.counter("server.admission.queued"),
-            requeued: g.counter("server.admission.requeued"),
             queue_depth: g.histogram("server.round.queue_depth"),
             buffer_occupancy: g.gauge("server.buffer.occupancy"),
             waiting: g.gauge("server.round.waiting"),
@@ -251,38 +249,15 @@ pub struct CompletedStream {
     pub buffer_high_water: f64,
 }
 
-/// Summary of one disk's round, carrying the full phase decomposition
-/// (`seek + rotational + transfer + stall + fault == service_time`
-/// exactly — the invariant `mzd postmortem` audits).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiskRoundSummary {
-    /// Disk index.
-    pub disk: u32,
-    /// Requests served.
-    pub requests: u32,
-    /// Sweep service time, seconds.
-    pub service_time: f64,
-    /// Whether the disk overran the round.
-    pub late: bool,
-    /// Time spent seeking, seconds.
-    pub seek_time: f64,
-    /// Rotational latency, seconds.
-    pub rotational_time: f64,
-    /// Transfer time, seconds.
-    pub transfer_time: f64,
-    /// Recalibration stall time, seconds.
-    pub stall_time: f64,
-    /// Injected fault time, seconds.
-    pub fault_time: f64,
-}
-
 /// Report for one global round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundReport {
     /// 0-based round index.
     pub round: u64,
-    /// Per-disk summaries.
-    pub disks: Vec<DiskRoundSummary>,
+    /// Per-disk summaries, carrying the full phase decomposition
+    /// (`seek + rotational + transfer + stall + fault == service_time`
+    /// exactly — the invariant `mzd postmortem` audits).
+    pub disks: Vec<mzd_prof::DiskPhases>,
     /// Stream ids that glitched this round.
     pub glitched_streams: Vec<u64>,
     /// Stream ids that finished play-out this round.
@@ -300,15 +275,9 @@ pub struct VideoServer {
     disks: Vec<RoundSimulator>,
     sessions: Vec<Session>,
     completed: Vec<CompletedStream>,
-    /// Pending requests as `(arrival id, object)`.
-    ///
-    /// **Fairness invariant:** the queue is kept sorted by ascending
-    /// arrival id at all times. [`Self::enqueue_stream`] appends with a
-    /// fresh (monotone) id; [`Self::requeue_stream`] re-inserts an old
-    /// arrival at its sorted position. [`Self::drain_wait_queue`] admits
-    /// strictly front-first, so admission order always equals arrival
-    /// order — a requeued (migrated/preempted) stream re-enters *ahead
-    /// of* every request that arrived after it, never at the tail.
+    /// Pending requests as `(arrival id, object)`, in FIFO order:
+    /// [`Self::enqueue_stream`] appends and [`Self::drain_wait_queue`]
+    /// admits strictly front-first.
     waiting: std::collections::VecDeque<(u64, ObjectSpec)>,
     rng: StdRng,
     next_id: u64,
@@ -637,51 +606,9 @@ impl VideoServer {
         // most loaded disk — checked by the controller.
         match self.admission.decide(&self.load) {
             AdmissionDecision::Admit => {
-                // Start on the least-loaded disk to keep the rotation
-                // balanced.
-                let start = self
-                    .load
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &l)| l)
-                    .map(|(d, _)| d as u32)
-                    .unwrap_or(0);
                 let id = self.next_id;
                 self.next_id += 1;
-                self.load[start as usize] += 1;
-                if let (Some(cache), Some(cid)) = (self.cache.as_mut(), object.content_id) {
-                    cache.update_reader(id, cid, 0);
-                }
-                self.sessions.push(Session {
-                    id,
-                    object,
-                    fragments_consumed: 0,
-                    start_disk: start,
-                    glitches: 0,
-                    buffer: BufferTracker::new(),
-                    paused: false,
-                    degradable: false,
-                });
-                self.metrics.accepted.inc();
-                let ts = self.trace_now_us();
-                if let Some(slo) = self.slo.as_mut() {
-                    slo.record_stream_span(
-                        id,
-                        "admit",
-                        "admission",
-                        ts,
-                        1,
-                        &[("disk", u64::from(start))],
-                    );
-                }
-                if mzd_telemetry::events_enabled() {
-                    mzd_telemetry::emit(
-                        mzd_telemetry::Event::new("server.admission")
-                            .str("decision", "accept")
-                            .u64("stream", id)
-                            .u64("disk", u64::from(start)),
-                    );
-                }
+                self.admit(id, object, "accept");
                 Ok(StreamHandle(id))
             }
             reject @ AdmissionDecision::Reject { .. } => {
@@ -765,106 +692,70 @@ impl VideoServer {
         self.waiting.len()
     }
 
-    /// Re-enter a previously arrived request into the wait queue without
-    /// losing its place in line. `arrival` is the id the request was
-    /// assigned when it first arrived at this server (a queued entry's
-    /// id, or an admitted stream's [`StreamHandle::id`] when it is
-    /// preempted or migrated back).
-    ///
-    /// The entry is inserted at its sorted position by arrival id — not
-    /// pushed to the tail — so a requeued stream goes back in line ahead
-    /// of every request that arrived after it (see the fairness
-    /// invariant on [`Self::drain_wait_queue`]). Requeues of the same
-    /// arrival id keep their relative call order.
-    pub fn requeue_stream(&mut self, arrival: u64, object: ObjectSpec) {
-        let pos = self.waiting.partition_point(|(id, _)| *id <= arrival);
-        self.waiting.insert(pos, (arrival, object));
-        self.metrics.requeued.inc();
-        self.metrics.waiting.set(self.waiting.len() as f64);
-        if mzd_telemetry::events_enabled() {
-            mzd_telemetry::emit(
-                mzd_telemetry::Event::new("server.admission")
-                    .str("decision", "requeue")
-                    .u64("stream", arrival)
-                    .u64("position", pos as u64)
-                    .u64("waiting", self.waiting.len() as u64),
-            );
-        }
-    }
-
     /// Admit as many waiting requests as capacity allows, strictly
-    /// front-first. Called automatically at the end of every round;
-    /// public so callers can trigger it after [`Self::close_stream`].
-    ///
-    /// **Fairness invariant:** the wait queue is sorted by ascending
-    /// arrival id ([`Self::enqueue_stream`] appends monotone ids,
-    /// [`Self::requeue_stream`] re-inserts at the sorted position), and
-    /// this drain only ever admits the front entry. Together these
-    /// guarantee strict FIFO by *original arrival* even under requeue: a
-    /// migrated stream is re-admitted before any request that arrived
-    /// after it, and two requeued streams keep their relative arrival
-    /// order.
+    /// front-first, so admission order equals arrival order. Called
+    /// automatically at the end of every round; public so callers can
+    /// trigger it after [`Self::close_stream`].
     pub fn drain_wait_queue(&mut self) -> Vec<StreamHandle> {
-        debug_assert!(
-            self.waiting
-                .iter()
-                .zip(self.waiting.iter().skip(1))
-                .all(|((a, _), (b, _))| a <= b),
-            "wait queue out of arrival order — requeue must insert sorted"
-        );
         let mut admitted = Vec::new();
-        while let Some((id, object)) = self.waiting.front().cloned() {
-            match self.admission.decide(&self.load) {
-                AdmissionDecision::Admit => {
-                    self.waiting.pop_front();
-                    let start = self
-                        .load
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &l)| l)
-                        .map(|(d, _)| d as u32)
-                        .unwrap_or(0);
-                    self.load[start as usize] += 1;
-                    if let (Some(cache), Some(cid)) = (self.cache.as_mut(), object.content_id) {
-                        cache.update_reader(id, cid, 0);
-                    }
-                    self.sessions.push(Session {
-                        id,
-                        object,
-                        fragments_consumed: 0,
-                        start_disk: start,
-                        glitches: 0,
-                        buffer: BufferTracker::new(),
-                        paused: false,
-                        degradable: false,
-                    });
-                    admitted.push(StreamHandle(id));
-                    self.metrics.accepted.inc();
-                    let ts = self.trace_now_us();
-                    if let Some(slo) = self.slo.as_mut() {
-                        slo.record_stream_span(
-                            id,
-                            "admit",
-                            "admission",
-                            ts,
-                            1,
-                            &[("disk", u64::from(start))],
-                        );
-                    }
-                    if mzd_telemetry::events_enabled() {
-                        mzd_telemetry::emit(
-                            mzd_telemetry::Event::new("server.admission")
-                                .str("decision", "dequeue")
-                                .u64("stream", id)
-                                .u64("disk", u64::from(start)),
-                        );
-                    }
-                }
-                AdmissionDecision::Reject { .. } => break,
-            }
+        while !self.waiting.is_empty()
+            && matches!(self.admission.decide(&self.load), AdmissionDecision::Admit)
+        {
+            let (id, object) = self.waiting.pop_front().expect("checked non-empty");
+            self.admit(id, object, "dequeue");
+            admitted.push(StreamHandle(id));
         }
         self.metrics.waiting.set(self.waiting.len() as f64);
         admitted
+    }
+
+    /// Open stream `id` on `object` once admission said yes: start it
+    /// on the least-loaded disk to keep the rotation balanced, register
+    /// its cache reader, and record the admission. `decision` labels
+    /// the `server.admission` event (`accept` for a direct open,
+    /// `dequeue` for a queue drain).
+    fn admit(&mut self, id: u64, object: ObjectSpec, decision: &'static str) {
+        let start = self
+            .load
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &l)| l)
+            .map(|(d, _)| d as u32)
+            .unwrap_or(0);
+        self.load[start as usize] += 1;
+        if let (Some(cache), Some(cid)) = (self.cache.as_mut(), object.content_id) {
+            cache.update_reader(id, cid, 0);
+        }
+        self.sessions.push(Session {
+            id,
+            object,
+            fragments_consumed: 0,
+            start_disk: start,
+            glitches: 0,
+            buffer: BufferTracker::new(),
+            paused: false,
+            degradable: false,
+        });
+        self.metrics.accepted.inc();
+        let ts = self.trace_now_us();
+        if let Some(slo) = self.slo.as_mut() {
+            slo.record_stream_span(
+                id,
+                "admit",
+                "admission",
+                ts,
+                1,
+                &[("disk", u64::from(start))],
+            );
+        }
+        if mzd_telemetry::events_enabled() {
+            mzd_telemetry::emit(
+                mzd_telemetry::Event::new("server.admission")
+                    .str("decision", decision)
+                    .u64("stream", id)
+                    .u64("disk", u64::from(start)),
+            );
+        }
     }
 
     /// Close a stream before it finishes (client hang-up). Its record goes
@@ -1250,7 +1141,7 @@ impl VideoServer {
                     ],
                 );
             }
-            disk_summaries.push(DiskRoundSummary {
+            disk_summaries.push(mzd_prof::DiskPhases {
                 disk: d as u32,
                 requests: sizes.len() as u32,
                 service_time: out.service_time,
@@ -1605,21 +1496,6 @@ impl VideoServer {
         degrade_escalated: bool,
         cache_counts: (u64, u64, u64),
     ) {
-        let disks: Vec<mzd_prof::DiskPhases> = report
-            .disks
-            .iter()
-            .map(|ds| mzd_prof::DiskPhases {
-                disk: ds.disk,
-                requests: ds.requests,
-                service_time: ds.service_time,
-                late: ds.late,
-                seek_time: ds.seek_time,
-                rotational_time: ds.rotational_time,
-                transfer_time: ds.transfer_time,
-                stall_time: ds.stall_time,
-                fault_time: ds.fault_time,
-            })
-            .collect();
         let mut faults = mzd_prof::FaultTotals::default();
         for sim in &self.disks {
             let c = sim.fault_counters();
@@ -1652,7 +1528,7 @@ impl VideoServer {
                 .map_or(0.0, FragmentCache::occupancy_bytes),
             load: self.load.clone(),
             rng_positions: self.disks.iter().map(RoundSimulator::rounds_run).collect(),
-            disks,
+            disks: report.disks.clone(),
             faults,
         };
         let recorder = self.recorder.as_ref().expect("checked by caller");
@@ -1842,81 +1718,6 @@ mod tests {
         assert_eq!(admitted_total, 3);
         assert_eq!(s.waiting_streams(), 0);
         assert_eq!(s.active_streams(), 3);
-    }
-
-    #[test]
-    fn requeue_reenters_ahead_of_newer_arrivals() {
-        let mut s = server(1, 19);
-        // Fill capacity, then queue three requests and capture the
-        // middle one's arrival id.
-        while s.open_stream(short_object(50)).is_ok() {}
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        assert_eq!(s.waiting_streams(), 3);
-        // A migrated stream whose original arrival (stream id 0, the
-        // very first admission) predates every queued request re-enters
-        // at the FRONT, not the tail.
-        let b_arrival = 0u64;
-        s.requeue_stream(b_arrival, short_object(7));
-        assert_eq!(s.waiting_streams(), 4);
-        // Free one slot: the requeued (oldest) entry must be admitted
-        // first even though it was pushed last.
-        let victim = s.active_session_info()[0].handle;
-        s.close_stream(victim).unwrap();
-        let admitted = s.drain_wait_queue();
-        assert_eq!(admitted.len(), 1);
-        assert_eq!(admitted[0].id(), b_arrival);
-        // The admitted session plays the requeued 7-round object.
-        let got = s
-            .active_session_info()
-            .into_iter()
-            .find(|i| i.handle == admitted[0])
-            .unwrap();
-        assert_eq!(got.object.rounds, 7);
-    }
-
-    #[test]
-    fn requeued_streams_keep_relative_arrival_order() {
-        let mut s = server(1, 20);
-        while s.open_stream(short_object(50)).is_ok() {}
-        // Two "migrated" streams with old arrival ids 3 and 5, requeued
-        // newest-first: drain must still admit 3 before 5, and both
-        // before the freshly queued request.
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        // "Migrate off" the sessions with ids 3 and 5 first so their
-        // arrival ids are free to re-enter the queue.
-        let victims: Vec<_> = s
-            .active_session_info()
-            .iter()
-            .filter(|i| [0, 3, 5].contains(&i.handle.id()))
-            .map(|i| i.handle)
-            .collect();
-        assert_eq!(victims.len(), 3);
-        s.requeue_stream(5, short_object(9));
-        s.requeue_stream(3, short_object(8));
-        assert_eq!(s.waiting_streams(), 3);
-        for v in victims {
-            s.close_stream(v).unwrap();
-        }
-        let admitted = s.drain_wait_queue();
-        assert_eq!(admitted.len(), 3);
-        assert_eq!(admitted[0].id(), 3);
-        assert_eq!(admitted[1].id(), 5);
-        let rounds: Vec<u32> = admitted
-            .iter()
-            .map(|h| {
-                s.active_session_info()
-                    .into_iter()
-                    .find(|i| i.handle == *h)
-                    .unwrap()
-                    .object
-                    .rounds
-            })
-            .collect();
-        assert_eq!(rounds[0], 8);
-        assert_eq!(rounds[1], 9);
-        assert_eq!(rounds[2], 50);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end scenarios for the observability stack: flight-recorder
 //! bundles must be byte-identical across reruns and worker counts, the
-//! recorded phase decomposition must reproduce the simulator's
-//! [`mzd_server::DiskRoundSummary`] exactly, a chaos run must fire a
+//! recorded phase decomposition must reproduce the server's per-disk
+//! [`mzd_server::RoundReport::disks`] exactly, a chaos run must fire a
 //! *triggered* (non-manual) dump, and the Prometheus exposition of the
 //! global registry must be well-formed.
 
