@@ -111,8 +111,8 @@ commands:
               --slo               [burn-rate + model-conformance monitor;
                                    single node only]
               --trace-out PATH    [per-stream causal trace, Chrome JSON;
-                                   on one node implies --slo; with
-                                   --nodes N the
+                                   records only, changes no other
+                                   output; with --nodes N the
                                    per-node traces are stitched under
                                    one root span per stream, so a
                                    migration reads as one causal chain]

@@ -291,7 +291,8 @@ const SERVE_FLAGS: [&str; 27] = [
 const FLEET_ONLY_FLAGS: [&str; 3] = ["health", "gray-node", "lease-rounds"];
 
 /// Flags only a single node can honour: fleet nodes run their own SLO
-/// monitors only under `--degrade`.
+/// monitors only under `--degrade`; `--trace-out` turns on no monitor in
+/// either mode.
 const NODE_ONLY_FLAGS: [&str; 1] = ["slo"];
 
 /// Build the per-server configuration the `serve` flags describe — the
@@ -486,17 +487,17 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         Host::Fleet(Box::new(fleet))
     } else {
         // The degradation ladder is driven by the burn-rate alert, so
-        // `--degrade` implies the SLO layer (like `--trace-out` does).
-        let slo_enabled = parsed.has("slo") || parsed.has("trace-out") || parsed.has("degrade");
+        // `--degrade` implies the SLO layer. Tracing is independent of it.
         let target = cfg.target;
         let mut server = mzd_server::VideoServer::new(cfg, seed)
             .map_err(|e| CliError::Execution(e.to_string()))?;
-        if slo_enabled {
-            let settings =
-                mzd_server::SloSettings::for_target(target).with_tracing(parsed.has("trace-out"));
+        if parsed.has("slo") || parsed.has("degrade") {
             server
-                .enable_slo(settings)
+                .enable_slo(mzd_server::SloSettings::for_target(target))
                 .map_err(|e| CliError::Execution(e.to_string()))?;
+        }
+        if parsed.has("trace-out") {
+            server.enable_tracing(0);
         }
         Host::Node(Box::new(server))
     };
@@ -626,7 +627,7 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         let (json, spans) = match &host {
             Host::Node(server) => (
                 server.trace_chrome_json(),
-                server.slo_status().map_or(0, |s| s.trace_spans).to_string(),
+                server.trace_events().map_or(0, <[_]>::len).to_string(),
             ),
             Host::Fleet(fleet) => {
                 let json = fleet.trace_chrome_json();

@@ -1,9 +1,11 @@
 //! `mzd serve` flag validation: one command serves a single node or a
 //! fleet, and every flag it is given must be one that the chosen mode
 //! honours — a typo or a mode mismatch is a usage error, never a
-//! silently ignored flag.
+//! silently ignored flag — and a flag changes only what it names.
 
 use mzd_cli::{args, commands, CliError};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn serve(flags: &[&str]) -> Result<String, CliError> {
@@ -168,4 +170,70 @@ fn help_flags_exit_zero_and_unknown_commands_exit_two() {
         assert!(String::from_utf8_lossy(&out.stdout).contains("usage: mzd"));
     }
     assert_eq!(mzd("frobnicate").status.code(), Some(2));
+}
+
+/// Every file under `dir`, keyed by its path below `root`.
+fn files_under(root: &Path, dir: &Path, files: &mut BTreeMap<PathBuf, Vec<u8>>) {
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files_under(root, &path, files);
+        } else {
+            let bytes = std::fs::read(&path).expect("read file");
+            files.insert(path.strip_prefix(root).unwrap().into(), bytes);
+        }
+    }
+}
+
+#[test]
+fn trace_out_changes_nothing_but_the_trace() {
+    let node = "--disks 4 --streams 112 --rounds 120";
+    let fleet = "--nodes 4 --disks 1 --lease-rounds 3 --rounds 80 --seed 7 --object-rounds 60 \
+                 --fault-profile media=0.005:1,scenario=zonefail:1:10:15:20";
+    let base = std::env::temp_dir().join(format!("mzd-trace-only-{}", std::process::id()));
+    for (mode, flags) in [("node", node), ("fleet", fleet)] {
+        // Same relative artifact paths in both runs, so stdout compares;
+        // `--jobs 1` because fleet events interleave across workers.
+        let run = |trace: &str| {
+            let dir = base
+                .join(mode)
+                .join(if trace.is_empty() { "plain" } else { "traced" });
+            std::fs::create_dir_all(&dir).unwrap();
+            let line = format!(
+                "serve {flags} --jobs 1 --events-out events.jsonl --postmortem-dir pm \
+                 --dump-on-exit {trace}"
+            );
+            let output = Command::new(env!("CARGO_BIN_EXE_mzd"))
+                .current_dir(&dir)
+                .args(line.split_whitespace())
+                .output()
+                .expect("spawn mzd");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(output.status.success(), "{mode}: {stderr}");
+            let stdout: Vec<String> = String::from_utf8_lossy(&output.stdout)
+                .lines()
+                .filter(|l| !l.starts_with("  trace: "))
+                .map(String::from)
+                .collect();
+            let mut files = BTreeMap::new();
+            files_under(&dir, &dir, &mut files);
+            let traced = files.remove(Path::new("trace.json")).is_some();
+            assert_eq!(traced, !trace.is_empty(), "{mode}: trace file");
+            (stdout, files)
+        };
+        let (plain_out, plain_files) = run("");
+        let (traced_out, traced_files) = run("--trace-out trace.json");
+        assert_eq!(plain_out, traced_out, "{mode}: stdout");
+        // The events file plus at least one postmortem bundle.
+        assert!(plain_files.len() > 2, "{mode}: {:?}", plain_files.keys());
+        let differing: Vec<_> = plain_files
+            .keys()
+            .filter(|p| traced_files.get(*p) != plain_files.get(*p))
+            .collect();
+        assert!(
+            differing.is_empty() && plain_files.len() == traced_files.len(),
+            "{mode}: {differing:?} differ"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

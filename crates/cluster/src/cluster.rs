@@ -479,15 +479,14 @@ impl Cluster {
     /// (submit → queue → lease-expire → requeue → admit → rounds)
     /// across hosts, under one trace id (the stream's seq).
     ///
-    /// Call before the first round; re-enables each node's SLO layer
-    /// with tracing on.
+    /// Call before the first round. Tracing only records: every other
+    /// output of the fleet is unchanged.
     ///
     /// # Errors
-    /// Propagates per-node server configuration errors.
+    /// Never fails today; the `Result` keeps `?` callers stable.
     pub fn enable_tracing(&mut self) -> Result<(), ClusterError> {
         for node in &mut self.nodes {
-            let base = node_span_base(node.id());
-            node.enable_tracing(base)?;
+            node.server.enable_tracing(node_span_base(node.id()));
         }
         self.tracer = Some(Tracer::new());
         Ok(())
@@ -1025,11 +1024,7 @@ impl Cluster {
                 // its admit/round spans stitch under it.
                 let root = self.stream_roots.get(&pending.seq).copied();
                 let server = &mut self.nodes[i as usize].server;
-                let opened = match root {
-                    Some(root) => server.open_stream_with_root(pending.object.clone(), root),
-                    None => server.open_stream(pending.object.clone()),
-                };
-                match opened {
+                match server.open_stream_with_root(pending.object.clone(), root) {
                     Ok(handle) => {
                         if pending.migrated {
                             // Riding the degradation ladder: the

@@ -11,8 +11,8 @@
 //! The crate is organized as four layers:
 //!
 //! * **[`node`]** — [`ServerNode`]: one fleet member, a plain
-//!   `VideoServer` plus its fleet id and the SLO and tracing setup the
-//!   fleet needs. The cluster opens streams on it, steps it, and reads
+//!   `VideoServer` plus its fleet id and the SLO layer a degradation
+//!   ladder needs. The cluster opens streams on it, steps it, and reads
 //!   the server's own round reports and session manifests directly.
 //! * **[`placement`]** — deterministic stream placement: a consistent-
 //!   hash ring (virtual nodes) picks the primary; a striping-aware

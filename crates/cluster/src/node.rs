@@ -1,6 +1,6 @@
 //! One fleet member: a full [`mzd_server::VideoServer`] plus what the
-//! fleet adds to it — a fleet-wide id, the SLO layer a degradation
-//! ladder needs, and the per-node span-id base a stitched trace needs.
+//! fleet adds to it — a fleet-wide id and the SLO layer a degradation
+//! ladder needs.
 //! The [`crate::Cluster`] drives the server directly: it opens streams,
 //! steps rounds, and reads the server's own round reports and session
 //! manifests.
@@ -43,22 +43,6 @@ impl ServerNode {
     #[must_use]
     pub fn server(&self) -> &VideoServer {
         &self.server
-    }
-
-    /// Enable causal span tracing on the wrapped server, rebasing its
-    /// span-id allocator at `span_base` so a fleet-merged trace keeps
-    /// every node's ids disjoint (node `i` at `(i + 1) << 40` by
-    /// cluster convention). Re-enables the SLO layer with tracing on;
-    /// call before the first round.
-    ///
-    /// # Errors
-    /// Propagates server configuration errors from the SLO layer.
-    pub fn enable_tracing(&mut self, span_base: u64) -> Result<(), ClusterError> {
-        let target = self.server.config().target;
-        self.server
-            .enable_slo(SloSettings::for_target(target).with_tracing(true))?;
-        self.server.set_trace_span_base(span_base);
-        Ok(())
     }
 }
 

@@ -222,15 +222,6 @@ impl Disk {
             .map(|z| f64::from(self.zone_cylinder_count(z)) * self.zones.track_capacity(z))
             .sum()
     }
-
-    /// Worst-case single-request service time for a request of `bytes`:
-    /// max seek + full rotation + transfer at the innermost-zone rate. This
-    /// is the per-request term of the deterministic admission bound
-    /// (paper eq. 4.1).
-    #[must_use]
-    pub fn worst_case_request_time(&self, bytes: f64) -> f64 {
-        self.seek.max_seek_time(self.cylinders) + self.rotation_time + bytes / self.min_rate()
-    }
 }
 
 /// Errors from disk construction and geometry queries.
@@ -330,11 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn worst_case_request_time_components() {
+    fn paper_max_seek_and_rotation() {
         let d = viking();
-        let t = d.worst_case_request_time(0.0);
-        // max seek ≈ 18 ms (paper) + one rotation 8.34 ms.
-        assert!((t - (d.seek_curve().max_seek_time(6720) + 0.00834)).abs() < 1e-12);
+        // max seek ≈ 18 ms (paper), one rotation 8.34 ms.
+        assert_eq!(d.rotation_time(), 0.00834);
         assert!(d.seek_curve().max_seek_time(6720) > 0.0175);
         assert!(d.seek_curve().max_seek_time(6720) < 0.0185);
     }

@@ -26,7 +26,9 @@
 //!   promised guarantee at run time: glitch-budget burn-rate alerting
 //!   (freezing cache-aware over-admission during fast burns), online
 //!   model-conformance checking against the §3 predicted service-time
-//!   CDF, and per-stream causal tracing exportable as Chrome trace JSON.
+//!   CDF.
+//! * **Causal tracing** ([`VideoServer::enable_tracing`]) — an optional
+//!   record-only layer: per-stream span chains as Chrome trace JSON.
 //!
 //! ```
 //! use mzd_server::{QualityTarget, ServerConfig, VideoServer};
@@ -50,6 +52,7 @@ pub mod degrade;
 pub mod server;
 pub mod slo;
 pub mod striping;
+mod trace;
 
 pub use admission::{AdmissionController, AdmissionDecision, QualityTarget};
 pub use buffer::BufferTracker;

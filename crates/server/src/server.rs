@@ -17,13 +17,14 @@ use crate::degrade::{
 };
 use crate::slo::{SloSettings, SloState, SloStatus};
 use crate::striping::StripingLayout;
+use crate::trace::StreamTracer;
 use crate::ServerError;
 use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey, Lookup};
 use mzd_core::{GuaranteeModel, ZoneHandling};
 use mzd_disk::Disk;
 use mzd_fault::FaultConfig;
 use mzd_sim::round::{OverrunPolicy, RoundSimulator, SeekPolicy, SimConfig};
-use mzd_slo::{AlertTransition, DriftTransition, Tracer};
+use mzd_slo::{AlertTransition, DriftTransition};
 use mzd_workload::{ObjectSpec, SizeDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -304,8 +305,10 @@ pub struct VideoServer {
     /// Scratch: per-disk cache keys of the work-ahead prefetches.
     extra_keys: Vec<Vec<FragmentKey>>,
     metrics: ServerMetrics,
-    /// Optional SLO layer: burn alerting, conformance, tracing.
+    /// Optional SLO layer: burn alerting and conformance.
     slo: Option<SloState>,
+    /// Optional causal tracing; records spans and nothing else.
+    tracing: Option<StreamTracer>,
     /// Optional graceful-degradation ladder.
     degrade: Option<DegradeState>,
     /// Streams paused by the ladder's rung-4 shed, to resume on recovery.
@@ -411,6 +414,7 @@ impl VideoServer {
             extra_keys: vec![Vec::new(); disk_count],
             metrics: ServerMetrics::new(),
             slo: None,
+            tracing: None,
             degrade,
             shed_by_degrade: Vec::new(),
             recorder: None,
@@ -434,8 +438,8 @@ impl VideoServer {
     }
 
     /// Attach the SLO layer: a burn-rate engine over the admitted glitch
-    /// budget, optional online model-conformance checking, and optional
-    /// causal tracing. Replaces any previously attached SLO state.
+    /// budget and optional online model-conformance checking. Replaces
+    /// any previously attached SLO state.
     ///
     /// # Errors
     /// [`ServerError::Invalid`] for degenerate burn or conformance
@@ -454,43 +458,33 @@ impl VideoServer {
             .map(|s| s.status(self.admission.over_admission_frozen()))
     }
 
+    /// Record causal spans from now on, with span ids from `span_base + 1`
+    /// ([`mzd_slo::Tracer::set_span_base`]; a cluster gives each node a
+    /// disjoint range). Tracing only records: no other output changes.
+    /// Replaces any recorded trace; call before any stream opens.
+    pub fn enable_tracing(&mut self, span_base: u64) {
+        self.tracing = Some(StreamTracer::new(span_base));
+    }
+
     /// The recorded causal trace as Chrome trace-event JSON, `None`
-    /// unless SLO tracing is enabled.
+    /// until [`Self::enable_tracing`].
     #[must_use]
     pub fn trace_chrome_json(&self) -> Option<String> {
-        self.slo
-            .as_ref()?
-            .tracer
-            .as_ref()
-            .map(Tracer::to_chrome_json)
+        self.tracing.as_ref().map(|t| t.tracer.to_chrome_json())
     }
 
-    /// Rebase this server's span-id allocation (see
-    /// [`Tracer::set_span_base`]). A cluster assigns each node a
-    /// disjoint id range so stitched fleet traces keep every
-    /// parent/span edge unambiguous. No-op unless tracing is enabled;
-    /// call before any stream opens.
-    pub fn set_trace_span_base(&mut self, base: u64) {
-        if let Some(tracer) = self.slo.as_mut().and_then(|s| s.tracer.as_mut()) {
-            tracer.set_span_base(base);
-        }
-    }
-
-    /// The raw recorded spans, `None` unless tracing is enabled — what
-    /// a fleet reads to stitch per-node traces into one file.
+    /// The raw recorded spans, `None` until [`Self::enable_tracing`] —
+    /// what a fleet reads to stitch per-node traces into one file.
     #[must_use]
     pub fn trace_events(&self) -> Option<&[mzd_slo::TraceEvent]> {
-        self.slo.as_ref()?.tracer.as_ref().map(|t| t.events())
+        self.tracing.as_ref().map(|t| t.tracer.events())
     }
 
     /// Spans dropped after the tracer's capacity was reached (0 when
     /// tracing is off).
     #[must_use]
     pub fn trace_dropped(&self) -> u64 {
-        self.slo
-            .as_ref()
-            .and_then(|s| s.tracer.as_ref())
-            .map_or(0, Tracer::dropped)
+        self.tracing.as_ref().map_or(0, |t| t.tracer.dropped())
     }
 
     /// Logical time of the round about to run, in microseconds (round
@@ -597,18 +591,36 @@ impl VideoServer {
     /// precomputed per-disk limit.
     ///
     /// # Errors
-    /// [`ServerError::Invalid`] is never returned here; rejection is
-    /// signalled by `Ok(Err(decision))`-free design: the return is
-    /// `Result<StreamHandle, AdmissionDecision>` wrapped in the outer
-    /// server error for uniformity.
+    /// The rejecting [`AdmissionDecision::Reject`], carrying the
+    /// per-disk limit in force. The stream is not queued;
+    /// [`Self::enqueue_stream`] postpones instead.
     pub fn open_stream(&mut self, object: ObjectSpec) -> Result<StreamHandle, AdmissionDecision> {
+        self.open_stream_with_root(object, None)
+    }
+
+    /// [`Self::open_stream`] under an externally minted root span
+    /// context, if given: the admission span and every subsequent round
+    /// span of the new stream hang off `root` instead of a locally
+    /// created root. This is the cluster's trace-stitching entry point —
+    /// the dispatcher mints one root per stream at submission and
+    /// threads it through queue, lease and migration onto whichever node
+    /// finally admits, so a migrated stream renders as one causal chain.
+    /// Behaves exactly like `open_stream` when tracing is off.
+    ///
+    /// # Errors
+    /// The admission rejection, exactly as [`Self::open_stream`].
+    pub fn open_stream_with_root(
+        &mut self,
+        object: ObjectSpec,
+        root: Option<mzd_telemetry::SpanContext>,
+    ) -> Result<StreamHandle, AdmissionDecision> {
         // The rotation visits every disk, so the binding constraint is the
         // most loaded disk — checked by the controller.
         match self.admission.decide(&self.load) {
             AdmissionDecision::Admit => {
                 let id = self.next_id;
                 self.next_id += 1;
-                self.admit(id, object, "accept");
+                self.admit(id, object, "accept", root);
                 Ok(StreamHandle(id))
             }
             reject @ AdmissionDecision::Reject { .. } => {
@@ -624,34 +636,6 @@ impl VideoServer {
                 Err(reject)
             }
         }
-    }
-
-    /// [`Self::open_stream`] under an externally minted root span
-    /// context: the admission span and every subsequent round span of
-    /// the new stream hang off `root` instead of a locally created
-    /// root. This is the cluster's trace-stitching entry point — the
-    /// dispatcher mints one root per stream at submission and threads
-    /// it through queue, lease and migration onto whichever node
-    /// finally admits, so a migrated stream renders as one causal
-    /// chain. Behaves exactly like `open_stream` when tracing is off.
-    ///
-    /// # Errors
-    /// The admission rejection, exactly as [`Self::open_stream`].
-    pub fn open_stream_with_root(
-        &mut self,
-        object: ObjectSpec,
-        root: mzd_telemetry::SpanContext,
-    ) -> Result<StreamHandle, AdmissionDecision> {
-        if let Some(slo) = self.slo.as_mut() {
-            slo.stage_root(root);
-        }
-        let result = self.open_stream(object);
-        if result.is_err() {
-            if let Some(slo) = self.slo.as_mut() {
-                slo.clear_staged_root();
-            }
-        }
-        result
     }
 
     /// Enqueue a stream request instead of rejecting it: §1's alternative
@@ -672,8 +656,8 @@ impl VideoServer {
         self.metrics.queued.inc();
         self.metrics.waiting.set(self.waiting.len() as f64);
         let ts = self.trace_now_us();
-        if let Some(slo) = self.slo.as_mut() {
-            slo.record_stream_span(id, "queue.wait", "admission", ts, 1, &[]);
+        if let Some(t) = self.tracing.as_mut() {
+            t.record_stream_span(id, "queue.wait", "admission", ts, 1, &[]);
         }
         if mzd_telemetry::events_enabled() {
             mzd_telemetry::emit(
@@ -702,7 +686,7 @@ impl VideoServer {
             && matches!(self.admission.decide(&self.load), AdmissionDecision::Admit)
         {
             let (id, object) = self.waiting.pop_front().expect("checked non-empty");
-            self.admit(id, object, "dequeue");
+            self.admit(id, object, "dequeue", None);
             admitted.push(StreamHandle(id));
         }
         self.metrics.waiting.set(self.waiting.len() as f64);
@@ -713,8 +697,15 @@ impl VideoServer {
     /// on the least-loaded disk to keep the rotation balanced, register
     /// its cache reader, and record the admission. `decision` labels
     /// the `server.admission` event (`accept` for a direct open,
-    /// `dequeue` for a queue drain).
-    fn admit(&mut self, id: u64, object: ObjectSpec, decision: &'static str) {
+    /// `dequeue` for a queue drain); `root`, if given, roots the
+    /// stream's trace.
+    fn admit(
+        &mut self,
+        id: u64,
+        object: ObjectSpec,
+        decision: &'static str,
+        root: Option<mzd_telemetry::SpanContext>,
+    ) {
         let start = self
             .load
             .iter()
@@ -738,8 +729,11 @@ impl VideoServer {
         });
         self.metrics.accepted.inc();
         let ts = self.trace_now_us();
-        if let Some(slo) = self.slo.as_mut() {
-            slo.record_stream_span(
+        if let Some(t) = self.tracing.as_mut() {
+            if let Some(root) = root {
+                t.stream_roots.insert(id, root);
+            }
+            t.record_stream_span(
                 id,
                 "admit",
                 "admission",
@@ -777,8 +771,8 @@ impl VideoServer {
         if let (Some(cache), Some(_)) = (self.cache.as_mut(), s.object.content_id) {
             cache.remove_reader(s.id);
         }
-        if let Some(slo) = self.slo.as_mut() {
-            slo.forget_stream(s.id);
+        if let Some(t) = self.tracing.as_mut() {
+            t.stream_roots.remove(&s.id);
         }
         self.completed.push(CompletedStream {
             id: s.id,
@@ -1032,10 +1026,10 @@ impl VideoServer {
                 self.batch_sizes[d].push(size);
                 self.batch_keys[d].push(fetch_key);
             }
-            if let Some(slo) = self.slo.as_mut() {
+            if let Some(t) = self.tracing.as_mut() {
                 // One causal chain per stream per round: the round span
                 // under the stream root, the disposition under the round.
-                if let Some(round_ctx) = slo.record_stream_span(
+                let round_ctx = t.record_stream_span(
                     sid,
                     "stream.round",
                     "stream",
@@ -1046,11 +1040,10 @@ impl VideoServer {
                         ("disk", d as u64),
                         ("fragment", u64::from(frag)),
                     ],
-                ) {
-                    let cat = if serve_from_disk { "disk" } else { "cache" };
-                    let dur = if serve_from_disk { round_us } else { 1 };
-                    slo.record_under(round_ctx, disposition, cat, 1, sid, trace_ts, dur, &[]);
-                }
+                );
+                let cat = if serve_from_disk { "disk" } else { "cache" };
+                let dur = if serve_from_disk { round_us } else { 1 };
+                t.record_under(round_ctx, sid, disposition, cat, trace_ts, dur);
             }
         }
 
@@ -1129,8 +1122,8 @@ impl VideoServer {
                 }
                 self.metrics.prefetch_fetched.add(prefetched.served as u64);
             }
-            if let Some(slo) = self.slo.as_mut() {
-                slo.record_disk_span(
+            if let Some(t) = self.tracing.as_mut() {
+                t.record_disk_span(
                     d as u64,
                     "disk.sweep",
                     trace_ts,
@@ -1192,6 +1185,18 @@ impl VideoServer {
             delayed_waiters.is_empty(),
             "every in-flight fetch completes within its round"
         );
+        if let Some(t) = self.tracing.as_mut() {
+            for &gid in &glitched_ids {
+                t.record_stream_span(
+                    gid,
+                    "glitch",
+                    "glitch",
+                    trace_ts,
+                    1,
+                    &[("round", self.rounds_run)],
+                );
+            }
+        }
         drop(phase_sweep);
 
         // SLO: burn-rate accounting against the admitted glitch budget,
@@ -1200,18 +1205,6 @@ impl VideoServer {
         let phase_slo = mzd_prof::phase("slo");
         let mut slo_alert_raised = false;
         if let Some(slo) = self.slo.as_mut() {
-            if slo.tracer.is_some() {
-                for &gid in &glitched_ids {
-                    slo.record_stream_span(
-                        gid,
-                        "glitch",
-                        "glitch",
-                        trace_ts,
-                        1,
-                        &[("round", self.rounds_run)],
-                    );
-                }
-            }
             let transition = slo
                 .burn
                 .observe_round(stream_rounds, glitched_ids.len() as u64);
@@ -1378,8 +1371,8 @@ impl VideoServer {
                 if let (Some(cache), Some(_)) = (self.cache.as_mut(), s.object.content_id) {
                     cache.remove_reader(s.id);
                 }
-                if let Some(slo) = self.slo.as_mut() {
-                    slo.forget_stream(s.id);
+                if let Some(t) = self.tracing.as_mut() {
+                    t.stream_roots.remove(&s.id);
                 }
                 completed_ids.push(s.id);
                 self.completed.push(CompletedStream {
@@ -1942,8 +1935,9 @@ mod tests {
     #[test]
     fn slo_layer_attaches_traces_and_stays_quiet_under_admitted_load() {
         let mut s = server(2, 51);
-        let settings = crate::slo::SloSettings::for_target(s.config().target).with_tracing(true);
-        s.enable_slo(settings).unwrap();
+        s.enable_slo(crate::slo::SloSettings::for_target(s.config().target))
+            .unwrap();
+        s.enable_tracing(0);
         assert!(s.slo_status().is_some());
         for _ in 0..4 {
             s.open_stream(short_object(10)).unwrap();
@@ -1958,11 +1952,12 @@ mod tests {
         assert!(!status.over_admission_frozen);
         // 4 streams × 10 rounds produce at least a round span + a
         // disposition span each, plus disk sweeps.
-        assert!(status.trace_spans >= 80, "spans {}", status.trace_spans);
+        let spans = s.trace_events().unwrap().len();
+        assert!(spans >= 80, "spans {spans}");
         let json = s.trace_chrome_json().unwrap();
         let parsed = mzd_telemetry::json::parse(&json).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), status.trace_spans);
+        assert_eq!(events.len(), spans);
         // Without tracing, no trace is exported but status still works.
         let mut plain = server(2, 52);
         plain
@@ -1970,7 +1965,13 @@ mod tests {
             .unwrap();
         plain.run_round();
         assert!(plain.trace_chrome_json().is_none());
-        assert_eq!(plain.slo_status().unwrap().trace_spans, 0);
+        // Tracing alone attaches no SLO layer.
+        let mut traced = server(2, 52);
+        traced.enable_tracing(0);
+        traced.open_stream(short_object(10)).unwrap();
+        traced.run_round();
+        assert!(traced.slo_status().is_none());
+        assert!(!traced.trace_events().unwrap().is_empty());
     }
 
     #[test]

@@ -135,18 +135,6 @@ impl Tracer {
         });
     }
 
-    /// Spans recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no span has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Spans discarded after the capacity was reached.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -283,7 +271,7 @@ mod tests {
             let ctx = t.root(i);
             t.record("s", "c", 1, i, 0, 1, ctx, &[]);
         }
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 3);
         let parsed = json::parse(&t.to_chrome_json()).unwrap();
         assert_eq!(
