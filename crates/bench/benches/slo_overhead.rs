@@ -5,10 +5,12 @@
 //! round — all on the scheduling hot path. Targets: a burn observation
 //! is ring-buffer arithmetic (tens of ns), a PIT observation is one CDF
 //! interpolation plus bin bookkeeping (sub-µs), and a span record is a
-//! vector push. Building the predicted CDF table is the one genuinely
-//! expensive step (numerical inversion per grid point) — it happens once
-//! per distinct batch size and is benchmarked separately to justify the
-//! caching in the server.
+//! vector push. Building the predicted CDF table is the one expensive
+//! step: one characteristic-function evaluation per quadrature node
+//! (thousands of them) plus one complex multiply per node per grid
+//! point, ~1.6 ms for the server's 65-point table at N = 28. It happens
+//! once per distinct batch size and is benchmarked separately to justify
+//! the caching in the server.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mzd_core::{GuaranteeModel, ServiceTimeCdf};
@@ -69,13 +71,9 @@ fn bench_slo(c: &mut Criterion) {
 
     // The one expensive step: building a predicted-CDF table by exact
     // inversion. Run once per distinct per-disk batch size, then cached —
-    // this bench is the justification for that cache. Since the CF table
-    // refactor (mzd-par PR), one build shares the t-independent φ(ω)
-    // evaluations across all grid points instead of re-integrating from
-    // scratch per point: the 257-point build at N = 28 dropped from
-    // ~345 ms to ~44 ms serial (~8×) on the reference container, and the
-    // remaining per-point rotation sweeps fan out across the worker pool
-    // on multi-core hosts.
+    // this bench is the justification for that cache. One build is a
+    // single pass over the quadrature nodes; chunks of nodes fan out
+    // across the worker pool on multi-core hosts.
     c.bench_function("cdf_build_n26_65pt", |b| {
         b.iter(|| {
             black_box(ServiceTimeCdf::with_resolution(&model, black_box(26), 65).expect("builds"))

@@ -59,39 +59,14 @@ impl ServiceTimeCdf {
         n: u32,
         points: usize,
     ) -> Result<Self, CoreError> {
-        if n == 0 {
-            return Err(CoreError::Invalid(
-                "service-time CDF needs at least one request per round".into(),
-            ));
-        }
-        if points < 2 {
-            return Err(CoreError::Invalid(format!(
-                "need at least 2 grid points, got {points}"
-            )));
-        }
         let service = model.round_service(n)?;
         let lo = service.seek_constant();
         let hi = service.mean() + 10.0 * service.variance().sqrt();
-        // The expensive t-independent factor φ(ω) is tabulated once and
-        // shared by every grid point; the per-point work is then a cheap
-        // rotation sweep, fanned out across the worker pool. Each grid
-        // point is a pure function of its index, and the running-maximum
-        // clamp runs serially afterwards, so the table is byte-identical
-        // for any worker count.
-        let quad = exact::CfQuadrature::new(&service, hi)?;
-        let raw = mzd_par::par_map_indexed(points, |i| {
-            let t = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-            if t > 0.0 {
-                quad.p_late(t).map(|p| (1.0 - p).clamp(0.0, 1.0))
-            } else {
-                Ok(0.0)
-            }
-        });
-        let mut values = Vec::with_capacity(points);
+        let mut values = exact::cdf_grid(&service, hi, points)?;
         let mut running = 0.0f64;
-        for cdf in raw {
-            running = running.max(cdf?);
-            values.push(running);
+        for v in &mut values {
+            running = running.max(*v);
+            *v = running;
         }
         Ok(Self {
             service,
@@ -156,6 +131,7 @@ impl ServiceTimeCdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mzd_numerics::complex::Complex;
 
     fn model() -> GuaranteeModel {
         GuaranteeModel::paper_reference().unwrap()
@@ -204,18 +180,44 @@ mod tests {
 
     #[test]
     fn shared_cf_table_matches_per_point_inversion() {
-        let service = model().round_service(8).unwrap();
-        let hi = service.mean() + 10.0 * service.variance().sqrt();
-        let quad = exact::CfQuadrature::new(&service, hi).unwrap();
-        let mean = service.mean();
-        let sd = service.variance().sqrt();
-        for t in [mean - sd, mean, mean + sd, mean + 4.0 * sd, hi] {
-            let shared = quad.p_late(t).unwrap();
-            let per_point = exact::p_late_exact(&service, t).unwrap();
-            assert!(
-                (shared - per_point).abs() < 1e-6,
-                "p_late({t}): shared table {shared}, per-point {per_point}"
-            );
+        // The one-pass grid against (a) a per-point rotation sweep over
+        // the same nodes, which differs only in rounding, and (b) the
+        // per-point inversion with its own rule for each t.
+        for n in [1u32, 8, 28, 40] {
+            let service = model().round_service(n).unwrap();
+            let lo = service.seek_constant();
+            let hi = service.mean() + 10.0 * service.variance().sqrt();
+            let nodes = exact::quadrature(&service, hi).unwrap();
+            let phi: Vec<Complex> = nodes
+                .iter()
+                .map(|&(omega, _)| exact::round_cf(&service, omega))
+                .collect();
+            for points in [65usize, 257] {
+                let grid = exact::cdf_grid(&service, hi, points).unwrap();
+                assert_eq!(grid.len(), points);
+                for (j, &got) in grid.iter().enumerate() {
+                    let t = lo + (hi - lo) * j as f64 / (points - 1) as f64;
+                    let integral: f64 = nodes
+                        .iter()
+                        .zip(&phi)
+                        .map(|(&(omega, w), &phi)| {
+                            w * (Complex::from_polar(1.0, -omega * t) * phi).im / omega
+                        })
+                        .sum();
+                    let sweep = (0.5 - integral / std::f64::consts::PI).clamp(0.0, 1.0);
+                    assert!(
+                        (got - sweep).abs() < 1e-12,
+                        "n = {n}, F({t}): grid {got}, per-point sweep {sweep}"
+                    );
+                    if j % 16 == 0 {
+                        let per_point = 1.0 - exact::p_late_exact(&service, t).unwrap();
+                        assert!(
+                            (got - per_point).abs() < 1e-6,
+                            "n = {n}, F({t}): grid {got}, per-point inversion {per_point}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -21,40 +21,60 @@
 //! (up to quadrature), against which both the Chernoff bound and the
 //! saddlepoint estimate can be judged without simulation noise.
 //!
-//! Cost: a few thousand complex evaluations (~tens of microseconds) —
-//! fine for studies, heavier than the closed-form bound the admission
-//! path uses.
+//! Cost: the rule has thousands of nodes (~6.6k for `N = 28` at
+//! `t = 1 s`; small `N` need far more), about 1 ms per [`p_late_exact`]
+//! call. `cdf_grid` evaluates the CF once per node for a whole grid of
+//! points, so each extra point costs one complex multiply per node.
 
 use crate::chernoff::RoundService;
 use crate::CoreError;
 use mzd_numerics::complex::Complex;
 use mzd_numerics::integrate::GaussLegendre;
+use std::f64::consts::PI;
 
-/// Characteristic function `φ(ω)` of the round total.
-fn round_cf(model: &RoundService, omega: f64) -> Complex {
+/// `ln(φ(ω)·e^{−iω·SEEK})`: the log characteristic function of the round
+/// total above its deterministic seek floor,
+/// `N·Ln((e^{iωROT} − 1)/(iωROT)) + βN·(ln α − Ln(α − iω))`. `N` is an
+/// integer, so the principal branch of the rotation factor's log is
+/// exact once exponentiated.
+fn log_cf_above_seek(model: &RoundService, omega: f64) -> Complex {
     let n = f64::from(model.n());
-    let rot = model.rotation_time();
-    let seek = model.seek_constant();
     let alpha = model.transfer().alpha();
-    let beta = model.transfer().beta();
-
-    // e^{iω·SEEK}
-    let seek_f = Complex::from_polar(1.0, omega * seek);
-
-    // ((e^{iωROT} − 1)/(iωROT))^N, with the ω→0 limit handled upstream.
-    let x = omega * rot;
+    let x = omega * model.rotation_time();
     let rot_base = if x.abs() < 1e-8 {
         // Series: 1 + ix/2 − x²/6 + …
         Complex::new(1.0 - x * x / 6.0, x / 2.0)
     } else {
         (Complex::from_polar(1.0, x) - Complex::ONE) / Complex::new(0.0, x)
     };
-    let rot_f = rot_base.powf(n);
+    let gamma = Complex::from(alpha.ln()) - Complex::new(alpha, -omega).ln();
+    rot_base.ln() * n + gamma * (model.transfer().beta() * n)
+}
 
-    // (α/(α − iω))^{βN}
-    let gamma_f = (Complex::from(alpha) / Complex::new(alpha, -omega)).powf(beta * n);
+/// Characteristic function `φ(ω)` of the round total.
+pub(crate) fn round_cf(model: &RoundService, omega: f64) -> Complex {
+    (log_cf_above_seek(model, omega) + Complex::new(0.0, omega * model.seek_constant())).exp()
+}
 
-    seek_f * rot_f * gamma_f
+/// The `(ω_k, w_k)` nodes of the Gauss–Legendre panel rule that inverts
+/// `model`'s CF at any point in `(0, t_max]`. Every node is strictly
+/// interior to `[0, ω_max]`, so `ω_k > 0`.
+pub(crate) fn quadrature(model: &RoundService, t_max: f64) -> Result<Vec<(f64, f64)>, CoreError> {
+    // Integration extent: |φ(ω)| decays algebraically with combined power
+    // N (rotation factor, |·| ≈ 2/(ωROT) per request) + βN (Gamma factor)
+    // — find the truncation point by doubling until |φ(ω)|/ω is far below
+    // target accuracy (checked on the actual CF, robust for any N).
+    let sigma = model.variance().sqrt().max(1e-9);
+    let mut omega_max = (40.0 / sigma).max(model.transfer().alpha());
+    while round_cf(model, omega_max).abs() / omega_max > 1e-15 && omega_max < 1e9 {
+        omega_max *= 2.0;
+    }
+    // Panel width: resolve the e^{−iωt} oscillation (period 2π/t) and the
+    // mean-scale phase of φ (period 2π/E[T]): several points per period
+    // of the faster one.
+    let period = (2.0 * PI / t_max).min(2.0 * PI / model.mean().max(1e-9));
+    let panels = ((omega_max / period) * 4.0).ceil().clamp(64.0, 400_000.0) as usize;
+    Ok(GaussLegendre::new(16)?.panel_points(0.0, omega_max, panels))
 }
 
 /// Exact `P[T_N ≥ t]` by Gil–Pelaez inversion.
@@ -75,139 +95,114 @@ pub fn p_late_exact(model: &RoundService, t: f64) -> Result<f64, CoreError> {
     if model.n() == 0 {
         return Ok(f64::from(u8::from(t <= model.seek_constant())));
     }
-
-    // Integration extent: |φ(ω)| decays algebraically with combined power
-    // N (rotation factor, |·| ≈ 2/(ωROT) per request) + βN (Gamma factor)
-    // — find the truncation point by doubling until |φ(ω)|/ω is far below
-    // target accuracy (checked on the actual CF, robust for any N).
-    let sigma = model.variance().sqrt().max(1e-9);
-    let mut omega_max = (40.0 / sigma).max(model.transfer().alpha());
-    while round_cf(model, omega_max).abs() / omega_max > 1e-15 && omega_max < 1e9 {
-        omega_max *= 2.0;
-    }
-
-    // Panel width: resolve the e^{−iωt} oscillation (period 2π/t) and the
-    // mean-scale phase of φ (period 2π/E[T]): several points per period
-    // of the faster one.
-    let period =
-        (2.0 * std::f64::consts::PI / t).min(2.0 * std::f64::consts::PI / model.mean().max(1e-9));
-    let panels = ((omega_max / period) * 4.0).ceil().clamp(64.0, 400_000.0) as usize;
-
-    let rule = GaussLegendre::new(16)?;
-    let integrand = |omega: f64| {
-        if omega <= 0.0 {
-            // limit ω→0: Im(e^{−iωt}φ(ω))/ω → E[T] − t
-            return model.mean() - t;
-        }
-        let phi = round_cf(model, omega);
-        let rotated = Complex::from_polar(1.0, -omega * t) * phi;
-        rotated.im / omega
-    };
-    let integral = rule.integrate_panels(integrand, 0.0, omega_max, panels);
-    let cdf = 0.5 - integral / std::f64::consts::PI;
+    let integral: f64 = quadrature(model, t)?
+        .iter()
+        .map(|&(omega, w)| {
+            w * (Complex::from_polar(1.0, -omega * t) * round_cf(model, omega)).im / omega
+        })
+        .sum();
+    let cdf = 0.5 - integral / PI;
     Ok((1.0 - cdf).clamp(0.0, 1.0))
 }
 
-/// Nodes per chunk when the CF table is filled in parallel: coarse
-/// enough that per-task overhead vanishes against ~100 ns CF
-/// evaluations, fine enough to split across any sane worker count.
+/// Nodes per chunk of [`cdf_grid`]: a chunk's rotors (32 bytes a node)
+/// stay in L1 across every grid point, and ~10k-node rules still split
+/// across any sane worker count.
 const CF_CHUNK: usize = 512;
 
-/// A characteristic-function table shared across many inversion points.
-///
-/// [`p_late_exact`] re-evaluates `φ(ω)` over the whole quadrature grid
-/// for every `t` — but `φ` does not depend on `t` at all; only the
-/// cheap rotation `e^{−iωt}` does. When one model is inverted at many
-/// points (the [`crate::ServiceTimeCdf`] grid), evaluating `φ` once per
-/// node and reusing it turns each additional grid point into a
-/// multiply-accumulate sweep: ~20× cheaper per point than the
-/// from-scratch inversion (see the `slo_overhead` bench notes).
-///
-/// The quadrature is sized for the largest `t` the caller will query
-/// (`t_max` sets the fastest `e^{−iωt}` oscillation), so accuracy at
-/// any `t ∈ (0, t_max]` matches or exceeds the per-point rule. The
-/// node set is fixed at construction: [`Self::p_late`] is a pure
-/// function of `t`, byte-identical for any worker count.
-#[derive(Debug, Clone)]
-pub struct CfQuadrature {
-    /// `(ω_k, w_k)` in evaluation order.
-    points: Vec<(f64, f64)>,
-    /// `φ(ω_k)`, the expensive `t`-independent factor.
-    phi: Vec<Complex>,
+/// One chunk of quadrature nodes as struct-of-arrays rotors: node `k`
+/// holds `(w_k/ω_k)·φ(ω_k)·e^{−iω_k·t}` for the current grid point `t`
+/// and its step `e^{−iω_kΔ}` to the next. Unused slots stay zero.
+struct Rotors {
+    re: [f64; CF_CHUNK],
+    im: [f64; CF_CHUNK],
+    step_re: [f64; CF_CHUNK],
+    step_im: [f64; CF_CHUNK],
 }
 
-impl CfQuadrature {
-    /// Tabulate `φ(ω)` for inverting `model`'s CDF at points up to
-    /// `t_max`. Node evaluation fans out over the global worker pool.
-    ///
-    /// # Errors
-    /// [`CoreError::Invalid`] for a non-positive `t_max` or an empty
-    /// round (`n == 0` has a degenerate, deterministic distribution).
-    pub fn new(model: &RoundService, t_max: f64) -> Result<Self, CoreError> {
-        if !(t_max > 0.0) || !t_max.is_finite() {
-            return Err(CoreError::Invalid(format!(
-                "CF table needs a positive largest inversion point, got {t_max}"
-            )));
+impl Rotors {
+    /// Start every node at the seek floor, where the `e^{iω·SEEK}` phase
+    /// of `φ` cancels: one complex `exp` of the log CF per node, one
+    /// `from_polar` for its step of `delta`.
+    fn at_seek_floor(model: &RoundService, nodes: &[(f64, f64)], delta: f64) -> Self {
+        let mut r = Self {
+            re: [0.0; CF_CHUNK],
+            im: [0.0; CF_CHUNK],
+            step_re: [0.0; CF_CHUNK],
+            step_im: [0.0; CF_CHUNK],
+        };
+        for (k, &(omega, w)) in nodes.iter().enumerate() {
+            let log = log_cf_above_seek(model, omega);
+            let z = Complex::from_polar(w / omega * log.re.exp(), log.im);
+            let step = Complex::from_polar(1.0, -omega * delta);
+            (r.re[k], r.im[k], r.step_re[k], r.step_im[k]) = (z.re, z.im, step.re, step.im);
         }
-        if model.n() == 0 {
-            return Err(CoreError::Invalid(
-                "CF table needs at least one request per round".into(),
-            ));
+        r
+    }
+
+    /// This chunk's share of `∫ Im(e^{−iωt}·φ(ω))/ω dω` at each of
+    /// `points` grid points, stepping every rotor once per point.
+    fn integrals(mut self, points: usize) -> Vec<f64> {
+        // Interleaved partial sums: a fixed order the compiler vectorises.
+        const LANES: usize = 8;
+        (0..points)
+            .map(|_| {
+                let mut lanes = [0.0; LANES];
+                for block in self.im.chunks_exact(LANES) {
+                    for (lane, &x) in lanes.iter_mut().zip(block) {
+                        *lane += x;
+                    }
+                }
+                for k in 0..CF_CHUNK {
+                    let (r, i) = (self.re[k], self.im[k]);
+                    self.re[k] = r * self.step_re[k] - i * self.step_im[k];
+                    self.im[k] = r * self.step_im[k] + i * self.step_re[k];
+                }
+                lanes.iter().sum()
+            })
+            .collect()
+    }
+}
+
+/// `F(t_j) = P[T ≤ t_j]` by Gil–Pelaez inversion, clamped to `[0, 1]`,
+/// on the uniform grid `t_j = SEEK + j·(hi − SEEK)/(points − 1)`.
+///
+/// One pass over the quadrature nodes for the fastest oscillation (at
+/// `hi`). Chunks of nodes fan out over the global worker pool and their
+/// partial sums are added in chunk order, so the grid is bit-identical
+/// for any worker count.
+///
+/// # Errors
+/// [`CoreError::Invalid`] for an empty round (`n == 0` has a degenerate,
+/// deterministic distribution) or fewer than 2 points.
+pub(crate) fn cdf_grid(
+    model: &RoundService,
+    hi: f64,
+    points: usize,
+) -> Result<Vec<f64>, CoreError> {
+    if model.n() == 0 || points < 2 {
+        return Err(CoreError::Invalid(format!(
+            "CDF grid needs n >= 1 and >= 2 points, got n = {}, {points} points",
+            model.n()
+        )));
+    }
+    let lo = model.seek_constant();
+    let nodes = quadrature(model, hi)?;
+    let delta = (hi - lo) / (points - 1) as f64;
+    let partials = mzd_par::par_map_indexed(nodes.len().div_ceil(CF_CHUNK), |c| {
+        let chunk = &nodes[c * CF_CHUNK..((c + 1) * CF_CHUNK).min(nodes.len())];
+        Rotors::at_seek_floor(model, chunk, delta).integrals(points)
+    });
+    let mut integral = vec![0.0; points];
+    for partial in partials {
+        for (sum, p) in integral.iter_mut().zip(partial) {
+            *sum += p;
         }
-        // Same truncation and resolution rules as `p_late_exact`, sized
-        // for the fastest oscillation the caller can ask for (t_max).
-        let sigma = model.variance().sqrt().max(1e-9);
-        let mut omega_max = (40.0 / sigma).max(model.transfer().alpha());
-        while round_cf(model, omega_max).abs() / omega_max > 1e-15 && omega_max < 1e9 {
-            omega_max *= 2.0;
-        }
-        let period = (2.0 * std::f64::consts::PI / t_max)
-            .min(2.0 * std::f64::consts::PI / model.mean().max(1e-9));
-        let panels = ((omega_max / period) * 4.0).ceil().clamp(64.0, 400_000.0) as usize;
-        let rule = GaussLegendre::new(16)?;
-        let points = rule.panel_points(0.0, omega_max, panels);
-        // Gauss–Legendre nodes are strictly interior, so ω > 0 for every
-        // point and the ω → 0 limit never arises.
-        let chunks = points.len().div_ceil(CF_CHUNK);
-        let phi: Vec<Complex> = mzd_par::par_map_indexed(chunks, |c| {
-            let lo = c * CF_CHUNK;
-            let hi = ((c + 1) * CF_CHUNK).min(points.len());
-            points[lo..hi]
-                .iter()
-                .map(|&(omega, _)| round_cf(model, omega))
-                .collect::<Vec<Complex>>()
-        })
+    }
+    Ok(integral
         .into_iter()
-        .flatten()
-        .collect();
-        Ok(Self { points, phi })
-    }
-
-    /// `P[T ≥ t]` by Gil–Pelaez inversion over the shared node set.
-    /// Valid for `t ∈ (0, t_max]`; clamped to `[0, 1]`.
-    ///
-    /// # Errors
-    /// [`CoreError::Invalid`] for a non-positive `t`.
-    pub fn p_late(&self, t: f64) -> Result<f64, CoreError> {
-        if !(t > 0.0) || !t.is_finite() {
-            return Err(CoreError::Invalid(format!(
-                "round length must be positive, got {t}"
-            )));
-        }
-        let mut integral = 0.0;
-        for (&(omega, w), phi) in self.points.iter().zip(&self.phi) {
-            let rotated = Complex::from_polar(1.0, -omega * t) * *phi;
-            integral += w * rotated.im / omega;
-        }
-        let cdf = 0.5 - integral / std::f64::consts::PI;
-        Ok((1.0 - cdf).clamp(0.0, 1.0))
-    }
-
-    /// Number of quadrature nodes (diagnostic; sizes the build cost).
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.points.len()
-    }
+        .map(|s| (0.5 - s / PI).clamp(0.0, 1.0))
+        .collect())
 }
 
 #[cfg(test)]

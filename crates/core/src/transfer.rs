@@ -70,20 +70,6 @@ impl TransferTimeModel {
         })
     }
 
-    /// Single-zone disk (§3.1): `T = S / rate` with a constant `rate`
-    /// (bytes/second), so the size Gamma maps to the time Gamma directly.
-    ///
-    /// # Errors
-    /// [`CoreError::Invalid`] for non-positive inputs.
-    pub fn single_zone(size_mean: f64, size_variance: f64, rate: f64) -> Result<Self, CoreError> {
-        if !(rate > 0.0) || !rate.is_finite() {
-            return Err(CoreError::Invalid(format!(
-                "transfer rate must be positive, got {rate}"
-            )));
-        }
-        Self::from_moments(size_mean / rate, size_variance / (rate * rate))
-    }
-
     /// Multi-zone disk (§3.2): moments via `E[T^k] = E[S^k]·E[R^{-k}]`
     /// with the zone law chosen by `handling`.
     ///
@@ -395,15 +381,6 @@ mod tests {
         assert!((m.beta() - 0.02174 * 0.02174 / 0.00011815).abs() < 1e-9);
         assert!(TransferTimeModel::from_moments(0.0, 1.0).is_err());
         assert!(TransferTimeModel::from_moments(1.0, -1.0).is_err());
-    }
-
-    #[test]
-    fn single_zone_scales_size_moments() {
-        let rate = 75_000.0 / 0.00834;
-        let m = TransferTimeModel::single_zone(MEAN, VAR, rate).unwrap();
-        assert!((m.mean() - MEAN / rate).abs() < 1e-12);
-        assert!((m.variance() - VAR / (rate * rate)).abs() < 1e-15);
-        assert!(TransferTimeModel::single_zone(MEAN, VAR, 0.0).is_err());
     }
 
     #[test]

@@ -118,8 +118,9 @@ pub(crate) struct SloState {
     /// The analytic model the conformance CDFs are derived from; kept in
     /// lockstep with workload reconfiguration.
     pub model: GuaranteeModel,
-    /// Lazily built predicted-CDF tables, one per observed batch size.
-    cdfs: HashMap<u32, ServiceTimeCdf>,
+    /// Lazily built predicted-CDF tables, one per observed batch size;
+    /// `None` records a failed build so it is never retried.
+    cdfs: HashMap<u32, Option<ServiceTimeCdf>>,
     pub metrics: SloMetrics,
 }
 
@@ -143,16 +144,14 @@ impl SloState {
     }
 
     /// The predicted CDF `F_n`, tabulating it on first use for this `n`.
-    /// `None` if the grid build fails (degenerate `n`).
+    /// `None` if the grid build fails (degenerate `n`); the failure is
+    /// cached like a table, so each `n` is built at most once.
     pub(crate) fn cdf_for(&mut self, n: u32) -> Option<&ServiceTimeCdf> {
-        if n == 0 {
-            return None;
-        }
-        if !self.cdfs.contains_key(&n) {
-            let built = ServiceTimeCdf::with_resolution(&self.model, n, CDF_GRID_POINTS).ok()?;
-            self.cdfs.insert(n, built);
-        }
-        self.cdfs.get(&n)
+        let model = &self.model;
+        self.cdfs
+            .entry(n)
+            .or_insert_with(|| ServiceTimeCdf::with_resolution(model, n, CDF_GRID_POINTS).ok())
+            .as_ref()
     }
 
     pub(crate) fn status(&self, over_admission_frozen: bool) -> SloStatus {
@@ -230,5 +229,18 @@ mod tests {
         let v1 = st.cdf_for(4).unwrap().evaluate(1.0);
         let v2 = st.cdf_for(4).unwrap().evaluate(1.0);
         assert_eq!(v1, v2);
+    }
+
+    #[test]
+    fn a_failed_cdf_build_is_attempted_only_once() {
+        let model = GuaranteeModel::paper_reference().unwrap();
+        let settings = SloSettings::for_target(QualityTarget::RoundOverrun { delta: 0.01 });
+        let mut st = SloState::new(settings, model).unwrap();
+        // n = 0 has no continuous CDF, so its build fails; the failure is
+        // cached and later rounds hit the cache instead of rebuilding.
+        assert!(st.cdf_for(0).is_none());
+        assert!(matches!(st.cdfs.get(&0), Some(None)));
+        assert!(st.cdf_for(0).is_none());
+        assert_eq!(st.cdfs.len(), 1);
     }
 }

@@ -207,3 +207,34 @@ fn fast_burn_alert_freezes_cache_aware_over_admission_until_it_clears() {
     // slow window once the fast window filled with storm rounds).
     assert!(raised_after <= 128, "raise took {raised_after} rounds");
 }
+
+/// A seeded 4-disk paper node with the SLO layer on: 120 viewers against
+/// a capacity of 4 × 28, staggered lengths so the per-disk batch size
+/// sweeps many `n` and every one of their predicted-CDF tables is built.
+/// The conformance outcome is pinned bit for bit, so any change to how
+/// the tables are computed that moves a PIT value across a bin shows.
+#[test]
+fn seeded_paper_node_conformance_is_pinned() {
+    let cfg = ServerConfig::paper_reference(4).expect("valid config");
+    let target = cfg.target;
+    let mut server = VideoServer::new(cfg, 7).expect("valid server");
+    server
+        .enable_slo(SloSettings::for_target(target))
+        .expect("slo enables");
+    for i in 0..120u32 {
+        let object = ObjectSpec::new(
+            format!("title-{i}"),
+            SizeDistribution::paper_default(),
+            400 + 13 * i,
+        )
+        .expect("valid object");
+        server.enqueue_stream(object);
+    }
+    for _ in 0..2000 {
+        server.run_round();
+    }
+    let status = server.slo_status().expect("slo enabled");
+    assert_eq!(status.drifts_raised, 0);
+    assert_eq!(status.ks_statistic.to_bits(), 0x3fce_c000_0000_0000); // 0.240234375
+    assert_eq!(status.tail_exceedance.to_bits(), 0x3f9a_0000_0000_0000); // 0.025390625
+}
