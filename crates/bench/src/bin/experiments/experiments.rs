@@ -1229,7 +1229,7 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
     });
     {
         // Event-engine hot path: the N = 27 round with the request arena
-        // and draw buffer preallocated to the round size
+        // preallocated to the round size
         // (`with_capacity`), so the steady state is allocation-free —
         // the contract asserted by crates/sim/tests/alloc_steady_state.rs.
         let mut one = mzd_sim::RoundSimulator::with_capacity(cfg.clone(), 7, 27).expect("valid");

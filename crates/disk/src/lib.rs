@@ -173,22 +173,6 @@ impl Disk {
         self.cylinders / self.zones.zone_count() as u32
     }
 
-    /// The zone containing `cylinder`, with cylinder 0 innermost and zone 0
-    /// innermost.
-    ///
-    /// # Panics
-    /// Panics if `cylinder ≥ self.cylinders()`.
-    #[must_use]
-    pub fn zone_of_cylinder(&self, cylinder: u32) -> usize {
-        assert!(
-            cylinder < self.cylinders,
-            "cylinder {cylinder} out of range (disk has {})",
-            self.cylinders
-        );
-        let per = self.cylinders_per_zone();
-        ((cylinder / per) as usize).min(self.zones.zone_count() - 1)
-    }
-
     /// First (innermost) cylinder of `zone`.
     ///
     /// # Panics
@@ -265,30 +249,6 @@ mod tests {
         let d = viking();
         assert!((d.max_rate() / d.min_rate() - 95744.0 / 58368.0).abs() < 1e-12);
         assert!(d.mean_rate() > d.min_rate() && d.mean_rate() < d.max_rate());
-    }
-
-    #[test]
-    fn zone_of_cylinder_partitions_disk() {
-        let d = viking();
-        assert_eq!(d.zone_of_cylinder(0), 0);
-        assert_eq!(d.zone_of_cylinder(6719), 14);
-        // 6720 / 15 = 448 cylinders per zone.
-        assert_eq!(d.cylinders_per_zone(), 448);
-        assert_eq!(d.zone_of_cylinder(447), 0);
-        assert_eq!(d.zone_of_cylinder(448), 1);
-        let mut counts = vec![0u32; d.zone_count()];
-        for c in 0..d.cylinders() {
-            counts[d.zone_of_cylinder(c)] += 1;
-        }
-        for (z, &n) in counts.iter().enumerate() {
-            assert_eq!(n, d.zone_cylinder_count(z), "zone {z}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn zone_of_cylinder_rejects_overflow() {
-        let _ = viking().zone_of_cylinder(6720);
     }
 
     #[test]

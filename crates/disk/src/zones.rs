@@ -158,21 +158,6 @@ impl ZoneModel {
             .sum()
     }
 
-    /// Select a zone by inverse-CDF given a uniform variate `u ∈ [0, 1)`.
-    /// Deterministic helper used by placement code; O(Z).
-    #[must_use]
-    pub fn select_zone(&self, u: f64) -> usize {
-        let target = u.clamp(0.0, 1.0) * self.total;
-        let mut acc = 0.0;
-        for (i, &c) in self.capacities.iter().enumerate() {
-            acc += c;
-            if target < acc {
-                return i;
-            }
-        }
-        self.capacities.len() - 1
-    }
-
     /// The continuum-limit rate distribution of this zone model given the
     /// rotation time (zone rates `R_i = C_i / ROT`).
     ///
@@ -308,21 +293,6 @@ mod tests {
         for i in 1..15 {
             assert!(z.zone_cdf(i) > z.zone_cdf(i - 1));
         }
-    }
-
-    #[test]
-    fn select_zone_inverse_cdf_consistency() {
-        let z = viking_zones();
-        assert_eq!(z.select_zone(0.0), 0);
-        assert_eq!(z.select_zone(0.999_999), 14);
-        // u just past / just before a CDF boundary selects the right zone
-        // (exactly at the boundary is float-dependent and unspecified).
-        let u = z.zone_cdf(4);
-        assert_eq!(z.select_zone(u + 1e-9), 5);
-        assert_eq!(z.select_zone(u - 1e-9), 4);
-        // Out-of-range u is clamped.
-        assert_eq!(z.select_zone(-1.0), 0);
-        assert_eq!(z.select_zone(2.0), 14);
     }
 
     #[test]

@@ -100,12 +100,16 @@ impl NodeScope {
     }
 
     /// Record one observation into the named sketch (created on first
-    /// use).
+    /// use). Only the first use allocates the name.
     pub fn record(&mut self, name: &str, value: f64) {
-        self.sketches
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        if let Some(sketch) = self.sketches.get_mut(name) {
+            sketch.record(value);
+        } else {
+            self.sketches
+                .entry(name.to_string())
+                .or_default()
+                .record(value);
+        }
     }
 
     /// Pre-register a sketch so it is exposed (empty) from round zero —

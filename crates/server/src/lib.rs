@@ -3,10 +3,11 @@
 //!
 //! The architecture follows §2 and §5 of the paper:
 //!
-//! * **Data layout** ([`striping`]) — coarse-grained round-robin striping
-//!   of each object's fragments across all `D` disks (cluster size 1,
-//!   stride 1), so consecutive rounds of one stream hit consecutive disks
-//!   and load stays balanced.
+//! * **Data layout** (`striping`) — coarse-grained round-robin striping
+//!   of each object's fragments across all `D` disks: fragment `k` of an
+//!   object starting on disk `d₀` lives on disk `(d₀ + k) mod D`, so
+//!   consecutive rounds of one stream hit consecutive disks and load
+//!   stays balanced. Each stream carries the disk of its next fragment.
 //! * **Admission control** ([`admission`]) — a table-driven controller
 //!   (§5: precomputed `N_max` per tolerance) that admits a new stream only
 //!   if every disk stays at or below the per-disk limit derived from the
@@ -51,7 +52,7 @@ pub mod buffer;
 pub mod degrade;
 pub mod server;
 pub mod slo;
-pub mod striping;
+mod striping;
 mod trace;
 
 pub use admission::{AdmissionController, AdmissionDecision, QualityTarget};
@@ -61,7 +62,6 @@ pub use server::{
     ActiveStreamInfo, CacheSettings, RoundReport, ServerConfig, StreamHandle, VideoServer,
 };
 pub use slo::{SloSettings, SloStatus};
-pub use striping::StripingLayout;
 
 /// Errors from server configuration and operation.
 #[derive(Debug, Clone, PartialEq)]

@@ -208,6 +208,10 @@ struct Session {
     object: ObjectSpec,
     fragments_consumed: u32,
     start_disk: u32,
+    /// The disk holding the next fragment, `(start_disk +
+    /// fragments_consumed) mod D`, stepped by one disk per advance so the
+    /// round path never divides.
+    disk: u32,
     glitches: u64,
     buffer: BufferTracker,
     /// Paused streams hold their admission reservation but request no
@@ -573,14 +577,17 @@ impl VideoServer {
     }
 
     /// Reference recomputation of the load vector by scanning sessions —
-    /// the pre-incremental O(active streams) definition, retained to
-    /// cross-check the incremental counts in debug builds and tests.
+    /// the pre-incremental O(active streams) definition from the
+    /// closed-form striping map, retained to cross-check both the
+    /// incremental counts and every session's carried disk in debug
+    /// builds and tests.
     fn recompute_per_disk_load(&self) -> Vec<u32> {
         let mut load = vec![0u32; self.cfg.disks as usize];
         for s in &self.sessions {
             let d = self
                 .layout
                 .disk_of_fragment(s.start_disk, s.fragments_consumed);
+            debug_assert_eq!(s.disk, d, "stream {} carries the wrong disk", s.id);
             load[d as usize] += 1;
         }
         load
@@ -722,6 +729,7 @@ impl VideoServer {
             object,
             fragments_consumed: 0,
             start_disk: start,
+            disk: start,
             glitches: 0,
             buffer: BufferTracker::new(),
             paused: false,
@@ -764,10 +772,7 @@ impl VideoServer {
             .position(|s| s.id == handle.0)
             .ok_or(ServerError::UnknownStream(handle.0))?;
         let s = self.sessions.swap_remove(idx);
-        let d = self
-            .layout
-            .disk_of_fragment(s.start_disk, s.fragments_consumed);
-        self.load[d as usize] -= 1;
+        self.load[s.disk as usize] -= 1;
         if let (Some(cache), Some(_)) = (self.cache.as_mut(), s.object.content_id) {
             cache.remove_reader(s.id);
         }
@@ -974,7 +979,7 @@ impl VideoServer {
             let s = &mut self.sessions[i];
             let sid = s.id;
             let frag = s.fragments_consumed;
-            let d = self.layout.disk_of_fragment(s.start_disk, frag) as usize;
+            let d = s.disk as usize;
             // Stored objects have one fixed size per fragment (shared by
             // every reader — the precondition for caching); i.i.d.
             // objects re-draw per round exactly as before.
@@ -1361,9 +1366,7 @@ impl VideoServer {
                 continue;
             }
             s.buffer.advance_round();
-            let old_d =
-                self.layout
-                    .disk_of_fragment(s.start_disk, s.fragments_consumed) as usize;
+            let old_d = s.disk as usize;
             s.fragments_consumed += 1;
             if s.fragments_consumed >= s.object.rounds {
                 let s = self.sessions.swap_remove(i);
@@ -1383,12 +1386,9 @@ impl VideoServer {
                     buffer_high_water: s.buffer.high_water(),
                 });
             } else {
-                let new_d = self
-                    .layout
-                    .disk_of_fragment(s.start_disk, s.fragments_consumed)
-                    as usize;
+                s.disk = self.layout.next_disk(s.disk);
                 self.load[old_d] -= 1;
-                self.load[new_d] += 1;
+                self.load[s.disk as usize] += 1;
                 i += 1;
             }
         }
@@ -1929,6 +1929,71 @@ mod tests {
             let load = s.per_disk_load();
             let total: u32 = load.iter().sum();
             assert_eq!(total as usize, s.active_streams());
+        }
+    }
+
+    /// Every session's carried disk is the closed-form striping map of
+    /// its progress, and the incremental load is a recount, over a long
+    /// churn of queue drains, closes, pauses and completions — checked
+    /// with plain asserts so release builds check it too. D = 1 and the
+    /// non-powers-of-two 3 and 5 exercise the wrap.
+    #[test]
+    fn carried_disks_match_the_closed_form_under_churn() {
+        use rand::RngExt as _;
+        for disks in [1u32, 3, 5] {
+            let mut s = server(disks, 31 + u64::from(disks));
+            let mut rng = StdRng::seed_from_u64(u64::from(disks));
+            let mut queued_steps = 0u32;
+            for step in 0..4000u32 {
+                match rng.random_range(0..10u32) {
+                    0..=2 => {
+                        // Offered load above capacity, so the queue fills
+                        // and every round's completions drain it.
+                        for _ in 0..rng.random_range(1..8u32) {
+                            let rounds = rng.random_range(1..30 * disks + 10);
+                            s.enqueue_stream(short_object(rounds));
+                        }
+                    }
+                    3 if !s.sessions.is_empty() => {
+                        let pick = rng.random_range(0..s.sessions.len());
+                        let id = s.sessions[pick].id;
+                        s.close_stream(StreamHandle(id)).unwrap();
+                        s.drain_wait_queue();
+                    }
+                    4 if !s.sessions.is_empty() => {
+                        let pick = rng.random_range(0..s.sessions.len());
+                        let h = StreamHandle(s.sessions[pick].id);
+                        if s.is_paused(h).unwrap() {
+                            s.resume_stream(h).unwrap();
+                        } else {
+                            s.pause_stream(h).unwrap();
+                        }
+                    }
+                    _ => {
+                        s.run_round();
+                    }
+                }
+                for sess in &s.sessions {
+                    let want = (sess.start_disk + sess.fragments_consumed) % disks;
+                    assert_eq!(
+                        sess.disk, want,
+                        "D = {disks}, step {step}: stream {}",
+                        sess.id
+                    );
+                }
+                assert_eq!(
+                    s.per_disk_load(),
+                    s.recompute_per_disk_load(),
+                    "D = {disks}, step {step}"
+                );
+                queued_steps += u32::from(s.waiting_streams() > 0);
+            }
+            assert!(queued_steps > 1000, "D = {disks}: the queue rarely filled");
+            assert!(s.rounds_run > 1500, "D = {disks}: too few rounds");
+            assert!(
+                s.completed.len() > 100,
+                "D = {disks}: churn never completed streams"
+            );
         }
     }
 

@@ -1,5 +1,5 @@
 //! Discrete-event round core: logical-time event ordering,
-//! struct-of-arrays round state, and batched RNG draws.
+//! struct-of-arrays round state, and direct RNG draws.
 //!
 //! This module is the hot path of the whole stack — every experiment
 //! (`engine`, `cache_sweep`, `drift`, the server's per-disk rounds, the
@@ -22,15 +22,13 @@
 //!    packed `(key, index)` `u64` array with `sort_unstable` (stability
 //!    recovered from the unique index in the low bits), so steady-state
 //!    rounds allocate nothing.
-//! 3. **Batched RNG draws.** One `DrawBuffer::refill` per round
-//!    pre-materialises the raw `u64`s of the simulator's seeded stream;
-//!    all samplers then consume them in index order. The buffer is a
-//!    pure *window* onto the base stream — unconsumed draws carry over,
-//!    exhaustion falls through to the base generator — so every derived
-//!    draw (placement, fragment size, rotational latency,
-//!    recalibration) is bit-identical to drawing from the base RNG
-//!    directly, which keeps all seeded anchors byte-stable across the
-//!    rewrite.
+//! 3. **Direct draws with hoisted constants.** Every sampler reads the
+//!    simulator's seeded stream directly, one raw `u64` at a time, with
+//!    the vendored `rand` bit recipes inlined (unit `f64` from the top 53
+//!    bits, the `Range<f64>` round-up guard, Lemire rejection with the
+//!    per-zone threshold precomputed), so every derived draw (placement,
+//!    fragment size, rotational latency, recalibration) is bit-identical
+//!    to the `rand` calls the legacy simulator made.
 //!
 //! [`RoundSimulator::run_round_traced`]: crate::RoundSimulator::run_round_traced
 
@@ -41,101 +39,23 @@ use mzd_fault::FaultInjector;
 use mzd_workload::SizeDistribution;
 use rand::Rng;
 
-/// Pre-materialised window onto a raw `u64` RNG stream.
-///
-/// `DrawBuffer::refill` pulls a batch of raw words from the base
-/// generator; [`DrawBuffer::next`] serves them in order and falls back
-/// to the base generator when the batch is exhausted. Unconsumed words
-/// survive the next refill, so the sequence of values returned by
-/// `next` is exactly the base stream regardless of refill timing.
-#[derive(Debug, Default)]
-pub struct DrawBuffer {
-    buf: Vec<u64>,
-    pos: usize,
+/// Uniform `f64` in `[0, 1)` — same bit recipe as the vendored
+/// `rand`'s `Standard` for `f64` (top 53 bits of one raw draw).
+#[inline(always)]
+fn f64_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-impl DrawBuffer {
-    /// An empty buffer with room for `n` raw draws.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(n),
-            pos: 0,
-        }
-    }
-
-    /// Top the buffer up to `n` unconsumed raw draws from `base`.
-    ///
-    /// Unconsumed draws are retained — the buffer is a window onto the
-    /// base stream and must never drop a word.
-    fn refill<R: Rng + ?Sized>(&mut self, base: &mut R, n: usize) {
-        self.buf.drain(..self.pos);
-        self.pos = 0;
-        while self.buf.len() < n {
-            self.buf.push(base.next_u64());
-        }
-    }
-
-    /// Next raw draw: buffered if available, else directly from `base`.
-    #[inline(always)]
-    pub fn next<R: Rng + ?Sized>(&mut self, base: &mut R) -> u64 {
-        if self.pos < self.buf.len() {
-            let v = self.buf[self.pos];
-            self.pos += 1;
-            v
-        } else {
-            base.next_u64()
-        }
-    }
-
-    /// Uniform `f64` in `[0, 1)` — same bit recipe as the vendored
-    /// `rand`'s `Standard` for `f64` (top 53 bits of one raw draw).
-    #[inline(always)]
-    fn f64_unit<R: Rng + ?Sized>(&mut self, base: &mut R) -> f64 {
-        (self.next(base) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform `f64` in `[start, end)` — same arithmetic (including the
-    /// round-up guard) as the vendored `rand`'s `Range<f64>` sampler.
-    #[inline(always)]
-    fn f64_range<R: Rng + ?Sized>(&mut self, base: &mut R, start: f64, end: f64) -> f64 {
-        let u = self.f64_unit(base);
-        let v = start + u * (end - start);
-        if v < end {
-            v
-        } else {
-            start
-        }
-    }
-}
-
-/// [`Rng`] adapter that serves raw words from a [`DrawBuffer`].
-///
-/// `next_u32` derives from `next_u64` exactly as the vendored `StdRng`
-/// does, so *every* sampler in the workspace (size laws, `random_range`,
-/// shuffles) produces bit-identical values whether it draws through
-/// this adapter or from the base generator directly.
-#[derive(Debug)]
-pub struct BufferedRng<'a, R: Rng + ?Sized> {
-    draws: &'a mut DrawBuffer,
-    base: &'a mut R,
-}
-
-impl<'a, R: Rng + ?Sized> BufferedRng<'a, R> {
-    /// Adapt `draws` over `base`.
-    pub fn new(draws: &'a mut DrawBuffer, base: &'a mut R) -> Self {
-        Self { draws, base }
-    }
-}
-
-impl<R: Rng + ?Sized> Rng for BufferedRng<'_, R> {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.draws.next(self.base)
+/// Uniform `f64` in `[start, end)` — same arithmetic (including the
+/// round-up guard) as the vendored `rand`'s `Range<f64>` sampler.
+#[inline(always)]
+fn f64_range<R: Rng + ?Sized>(rng: &mut R, start: f64, end: f64) -> f64 {
+    let u = f64_unit(rng);
+    let v = start + u * (end - start);
+    if v < end {
+        v
+    } else {
+        start
     }
 }
 
@@ -373,12 +293,11 @@ impl RoundSizes<'_> {
     }
 }
 
-/// The discrete-event round core: batched draws, arena state, event
+/// The discrete-event round core: arena state, placement tables, event
 /// ordering. One per [`crate::RoundSimulator`]; all round entry points
 /// funnel through [`EventCore::round`].
 #[derive(Debug)]
 pub(crate) struct EventCore {
-    draws: DrawBuffer,
     arena: Arena,
     tables: PlacementTables,
     queue: EventQueue,
@@ -389,23 +308,14 @@ pub(crate) struct EventCore {
     full_seek: f64,
 }
 
-/// Raw draws prefetched per request when sizes come from a law (zone +
-/// cylinder + size sample + rotational; sized at the Gamma law's
-/// expected consumption).
-const DRAWS_PER_REQ_LAW: usize = 8;
-/// Raw draws prefetched per request with caller-provided sizes.
-const DRAWS_PER_REQ_GIVEN: usize = 4;
-
 impl EventCore {
     /// Build a core for `disk` with placement `weights`, preallocating
-    /// arena and draw-buffer storage for rounds of up to `capacity`
-    /// requests (steady-state rounds at or below that size allocate
-    /// nothing).
+    /// arena storage for rounds of up to `capacity` requests
+    /// (steady-state rounds at or below that size allocate nothing).
     pub(crate) fn new(disk: &Disk, weights: &[f64], capacity: usize) -> Self {
         let mut arena = Arena::default();
         arena.ensure(capacity);
         Self {
-            draws: DrawBuffer::with_capacity(capacity * DRAWS_PER_REQ_LAW + 1),
             arena,
             tables: PlacementTables::new(disk, weights),
             queue: EventQueue::default(),
@@ -426,15 +336,15 @@ impl EventCore {
     /// and bit-for-bit identical to the legacy linear scan +
     /// `random_range(0..count)`.
     #[inline]
-    pub(crate) fn place<R: Rng + ?Sized>(&mut self, base: &mut R) -> (u32, usize) {
-        let u = self.draws.f64_unit(base);
+    pub(crate) fn place<R: Rng + ?Sized>(&self, rng: &mut R) -> (u32, usize) {
+        let u = f64_unit(rng);
         let target = u.clamp(0.0, 1.0);
         let t = &self.tables;
         let zone = t.cum.partition_point(|&c| c <= target).min(t.cum.len() - 1);
         let span = t.span[zone];
         let thr = t.thr[zone];
         let off = loop {
-            let r = self.draws.next(base);
+            let r = rng.next_u64();
             let m = u128::from(r) * u128::from(span);
             if (m as u64) >= thr {
                 break (m >> 64) as u32;
@@ -445,8 +355,8 @@ impl EventCore {
 
     /// Draw one rotational latency, `U(0, ROT)`.
     #[inline]
-    pub(crate) fn rotational<R: Rng + ?Sized>(&mut self, base: &mut R) -> f64 {
-        self.draws.f64_range(base, 0.0, self.rot)
+    pub(crate) fn rotational<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        f64_range(rng, 0.0, self.rot)
     }
 
     /// Transfer time of `bytes` in `zone` (precomputed rate).
@@ -467,7 +377,7 @@ impl EventCore {
         });
     }
 
-    /// Run one round: generate requests (batched draws, arena state),
+    /// Run one round: generate requests (direct draws, arena state),
     /// order the sweep, and serve it against the logical clock.
     ///
     /// `arm` and `direction` are the cross-round elevator state, owned
@@ -492,22 +402,14 @@ impl EventCore {
     ) -> RoundOutcome {
         let n = sizes.len();
         self.arena.ensure(n);
-        let per_req = match sizes {
-            RoundSizes::Law { .. } => DRAWS_PER_REQ_LAW,
-            RoundSizes::Given(_) => DRAWS_PER_REQ_GIVEN,
-        };
-        self.draws
-            .refill(rng, n * per_req + usize::from(cfg.recalibration.is_some()));
 
         for i in 0..n {
             let (cylinder, zone) = self.place(rng);
             let bytes = match sizes {
-                RoundSizes::Law { law, .. } => {
-                    law.sample(&mut BufferedRng::new(&mut self.draws, rng))
-                }
+                RoundSizes::Law { law, .. } => law.sample(rng),
                 RoundSizes::Given(s) => s[i],
             };
-            let rotational = self.draws.f64_range(rng, 0.0, self.rot);
+            let rotational = self.rotational(rng);
             self.arena.stream[i] = i as u32;
             self.arena.cylinder[i] = cylinder;
             self.arena.zone[i] = zone as u32;
@@ -518,7 +420,7 @@ impl EventCore {
         // The recalibration draw follows all request draws, exactly as
         // the legacy loop ordered it.
         let stall = match cfg.recalibration {
-            Some(r) if self.draws.f64_unit(rng) < 1.0 / r.mean_interval_rounds => r.duration,
+            Some(r) if f64_unit(rng) < 1.0 / r.mean_interval_rounds => r.duration,
             _ => 0.0,
         };
 
@@ -642,46 +544,41 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
 
+    /// The inlined bit recipes equal the vendored `rand` samplers they
+    /// replace, draw for draw: unit and range `f64`s, and the Lemire
+    /// cylinder draw with the hoisted per-zone threshold.
     #[test]
-    fn draw_buffer_is_a_window_onto_the_base_stream() {
-        let mut direct = StdRng::seed_from_u64(99);
-        let mut base = StdRng::seed_from_u64(99);
-        let mut db = DrawBuffer::with_capacity(16);
-        let mut got = Vec::new();
-        // Interleave refills of varying sizes with draws, including a
-        // stretch past the buffered window (fallback path).
-        db.refill(&mut base, 5);
-        for _ in 0..3 {
-            got.push(db.next(&mut base));
+    fn direct_draws_match_rand_bit_for_bit() {
+        let disk = crate::SimConfig::paper_reference().unwrap().disk;
+        let weights = mzd_disk::placement::PlacementPolicy::UniformByCapacity
+            .zone_weights(&disk)
+            .unwrap();
+        let core = EventCore::new(&disk, &weights, 4);
+        let mut ours = StdRng::seed_from_u64(7);
+        let mut theirs = StdRng::seed_from_u64(7);
+        for _ in 0..2000 {
+            assert_eq!(
+                f64_unit(&mut ours).to_bits(),
+                theirs.random::<f64>().to_bits()
+            );
+            assert_eq!(
+                f64_range(&mut ours, 0.0, 0.25).to_bits(),
+                theirs.random_range(0.0..0.25f64).to_bits()
+            );
+            assert_eq!(
+                core.rotational(&mut ours).to_bits(),
+                theirs.random_range(0.0..core.rot).to_bits()
+            );
+            let (cylinder, zone) = core.place(&mut ours);
+            let u: f64 = theirs.random();
+            let t = &core.tables;
+            let want_zone = t.cum.partition_point(|&c| c <= u).min(t.cum.len() - 1);
+            let off = theirs.random_range(0..t.span[want_zone]);
+            assert_eq!(zone, want_zone);
+            assert_eq!(u64::from(cylinder), u64::from(t.first[want_zone]) + off);
         }
-        db.refill(&mut base, 7); // 2 unconsumed carry over
-        for _ in 0..10 {
-            got.push(db.next(&mut base)); // drains past the window
-        }
-        db.refill(&mut base, 4);
-        for _ in 0..4 {
-            got.push(db.next(&mut base));
-        }
-        let want: Vec<u64> = (0..got.len()).map(|_| direct.next_u64()).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn buffered_rng_matches_direct_draws() {
-        let mut direct = StdRng::seed_from_u64(7);
-        let mut base = StdRng::seed_from_u64(7);
-        let mut db = DrawBuffer::with_capacity(64);
-        db.refill(&mut base, 40);
-        let mut br = BufferedRng::new(&mut db, &mut base);
-        for _ in 0..20 {
-            let a: f64 = br.random();
-            let b: f64 = direct.random();
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(br.random_range(0..1000u32), direct.random_range(0..1000u32));
-            let a = br.random_range(0.0..0.25f64);
-            let b = direct.random_range(0.0..0.25f64);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        // Both streams consumed exactly the same words.
+        assert_eq!(ours.next_u64(), theirs.next_u64());
     }
 
     /// Satellite: `partition_point` zone selection must agree with the

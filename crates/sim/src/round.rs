@@ -14,7 +14,7 @@
 //! after the round deadline.
 //!
 //! Since the event-core rewrite, every entry point here is a thin wrapper
-//! over the crate-private `event::EventCore` — batched RNG draws, struct-of-arrays
+//! over the crate-private `event::EventCore` — direct RNG draws, struct-of-arrays
 //! round state and logical-time event ordering — with a draw schedule
 //! bit-identical to the original per-request loop (the test-only `legacy`
 //! module below keeps the original loop verbatim as the equivalence
@@ -264,7 +264,7 @@ pub struct DiscreteOutcome {
 ///
 /// Holds the arm state (position + sweep direction) across rounds; the
 /// RNG is owned so runs are reproducible from the seed. All rounds run
-/// through the discrete-event core ([`crate::event`]): batched draws,
+/// through the discrete-event core ([`crate::event`]): direct draws,
 /// preallocated struct-of-arrays state, and (in traced mode) the
 /// `(time, kind_rank, seq)`-ordered event stream.
 ///
@@ -281,8 +281,8 @@ pub struct RoundSimulator {
     rng: StdRng,
     arm_position: u32,
     direction: SweepDirection,
-    /// The discrete-event round core: draw buffer, arenas, placement
-    /// tables, event queue.
+    /// The discrete-event round core: arenas, placement tables, event
+    /// queue.
     core: EventCore,
     /// Rounds served so far — the logical round id of emitted events.
     rounds_run: u64,
@@ -305,8 +305,8 @@ impl RoundSimulator {
         Self::with_capacity(cfg, seed, DEFAULT_ROUND_CAPACITY)
     }
 
-    /// Create a simulator preallocating round state (arenas, draw
-    /// buffer) for up to `streams` requests per round — the server
+    /// Create a simulator preallocating round state (arenas) for up to
+    /// `streams` requests per round — the server
     /// passes its admission cap here. Rounds at or below that size do
     /// zero steady-state allocations; larger rounds still work and just
     /// grow the arenas once.

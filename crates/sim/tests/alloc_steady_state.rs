@@ -1,5 +1,5 @@
 //! Steady-state rounds must not allocate: the event core preallocates
-//! its arenas and draw buffer at construction ([`RoundSimulator::with_capacity`])
+//! its arenas at construction ([`RoundSimulator::with_capacity`])
 //! and reuses them across rounds, so the per-round hot path is
 //! allocation-free once warmed up. Verified with a counting global
 //! allocator installed for this test binary only.
@@ -43,10 +43,10 @@ fn steady_state_rounds_do_zero_allocations() {
     let n = 20u32;
     let mut sim = RoundSimulator::with_capacity(cfg, 42, n as usize).unwrap();
     let sizes = vec![150_000.0f64; 18];
-    // Warm up: metric handles exist since construction; this settles the
-    // draw buffer's high-water mark and any lazily-initialized telemetry
-    // state. N = 20 keeps rounds far from the deadline, so the
-    // glitched-streams vector stays empty (and unallocated) throughout.
+    // Warm up: metric handles exist since construction; this settles
+    // any lazily-initialized telemetry state. N = 20 keeps rounds far
+    // from the deadline, so the glitched-streams vector stays empty (and
+    // unallocated) throughout.
     for _ in 0..100 {
         std::hint::black_box(sim.run_round(n));
         std::hint::black_box(sim.run_round_sized(&sizes));
