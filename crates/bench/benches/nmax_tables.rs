@@ -31,41 +31,6 @@ fn bench_tables(c: &mut Criterion) {
         })
     });
 
-    // The same table builds with the worker pool pinned: jobs = 1 is the
-    // serial baseline (identical output, same code path), jobs = 4 the
-    // speedup target the PR acceptance demands.
-    for jobs in [1usize, 4] {
-        c.bench_function(
-            &format!("admission_table_late_8_thresholds_jobs{jobs}"),
-            |b| {
-                mzd_par::set_jobs(jobs);
-                b.iter(|| {
-                    model
-                        .admission_table_late(black_box(1.0), black_box(&thresholds))
-                        .expect("valid")
-                });
-                mzd_par::set_jobs(0);
-            },
-        );
-        c.bench_function(
-            &format!("admission_table_error_8_thresholds_jobs{jobs}"),
-            |b| {
-                mzd_par::set_jobs(jobs);
-                b.iter(|| {
-                    model
-                        .admission_table_error(
-                            black_box(1.0),
-                            black_box(1200),
-                            black_box(12),
-                            black_box(&thresholds),
-                        )
-                        .expect("valid")
-                });
-                mzd_par::set_jobs(0);
-            },
-        );
-    }
-
     c.bench_function("guarantee_model_construction", |b| {
         let disk = mzd_disk::profiles::quantum_viking_2_1()
             .build()

@@ -1188,30 +1188,29 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             );
         }),
     });
-    timed_pair(
-        &mut core,
-        "admission_table_late_8_thresholds",
-        table_iters,
-        || {
+    // The admission tables are serial scans: jobs = 1 only.
+    core.push(BenchEntry {
+        name: "admission_table_late_8_thresholds",
+        jobs: 1,
+        ns_per_op: median_ns_per_op(table_iters, || {
             black_box(
                 model
                     .admission_table_late(black_box(1.0), black_box(&thresholds))
                     .expect("valid"),
             );
-        },
-    );
-    timed_pair(
-        &mut core,
-        "admission_table_error_8_thresholds",
-        table_iters,
-        || {
+        }),
+    });
+    core.push(BenchEntry {
+        name: "admission_table_error_8_thresholds",
+        jobs: 1,
+        ns_per_op: median_ns_per_op(table_iters, || {
             black_box(
                 model
                     .admission_table_error(1.0, 1200, 12, black_box(&thresholds))
                     .expect("valid"),
             );
-        },
-    );
+        }),
+    });
     timed_pair(&mut core, "cdf_build_n28_257pt", cdf_iters, || {
         black_box(
             mzd_core::ServiceTimeCdf::with_resolution(&model, black_box(28), 257).expect("builds"),
@@ -1314,9 +1313,8 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
     {
         // One full fleet round — dispatch pulls, node steps, report
         // folding — on a 4-node fleet held at capacity with effectively
-        // endless objects, so every iteration does the same work.
-        // jobs = 1 only: the multi-worker timing of `run_round` measures
-        // the scheduler on starved CI hosts, not the code.
+        // endless objects, so every iteration does the same work. The
+        // round is serial, so jobs = 1 only.
         let cfg = mzd_cluster::ClusterConfig::paper_reference(4, 1).expect("valid fleet config");
         let mut fleet = mzd_cluster::Cluster::new(cfg, 11).expect("valid fleet");
         let object =
@@ -1325,7 +1323,6 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         for _ in 0..fleet.guarantee().fleet_capacity {
             fleet.submit(object.clone()).expect("submit");
         }
-        mzd_par::set_jobs(1); // run_round parallelizes node steps internally
         sim.push(BenchEntry {
             name: "engine_fleet_dispatch_4n",
             jobs: 1,
@@ -1333,7 +1330,6 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
                 black_box(fleet.run_round());
             }),
         });
-        mzd_par::set_jobs(0);
     }
     (core, sim)
 }

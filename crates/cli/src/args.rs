@@ -163,9 +163,9 @@ common flags:
   --round SECS   round length              (default 1.0)
 
 execution:
-  --jobs N       worker threads for parallel phases (solver scans, CDF
-                 tabulation, sweep points, replications); default: all
-                 hardware threads. Results are byte-identical for any N.
+  --jobs N       worker threads for parallel phases (CDF tabulation,
+                 sweep points, replications); default: all hardware
+                 threads. Results are byte-identical for any N.
 
 observability:
   --metrics-out PATH   write a JSON metrics snapshot (counters, gauges,

@@ -152,3 +152,68 @@ fn verbose_flag_streams_events_to_stderr() {
         "-v must stream round events to stderr, got: {stderr}"
     );
 }
+
+#[test]
+fn fleet_buffer_gauge_sums_every_node() {
+    // Every node of a fleet sets the shared `server.buffer.occupancy`
+    // gauge; the fleet then overwrites it with the node-order sum, so the
+    // exposition reports the whole fleet's backlog, not one node's.
+    let dir = temp_dir("fleet-buffer");
+    let events_path = dir.join("events.jsonl");
+    let prom_path = dir.join("fleet.prom");
+    let rounds = 60u64;
+    let output = Command::new(env!("CARGO_BIN_EXE_mzd"))
+        .args([
+            "serve",
+            "--nodes",
+            "4",
+            "--disks",
+            "2",
+            "--streams",
+            "200",
+            "--rounds",
+            &rounds.to_string(),
+            "--seed",
+            "3",
+            "--events-out",
+            events_path.to_str().unwrap(),
+            "--prom-out",
+            prom_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("failed to spawn mzd");
+    assert!(
+        output.status.success(),
+        "mzd serve --nodes 4 failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let events = std::fs::read_to_string(&events_path).expect("events file written");
+    let last_round: Vec<f64> = events
+        .lines()
+        .map(|line| parse(line).expect("event line parses"))
+        .filter(|e| {
+            e.get("event").and_then(Value::as_str) == Some("server.round")
+                && e.get("round").and_then(Value::as_f64) == Some((rounds - 1) as f64)
+        })
+        .map(|e| {
+            e.get("buffer_occupancy")
+                .and_then(Value::as_f64)
+                .expect("server.round carries buffer_occupancy")
+        })
+        .collect();
+    assert_eq!(last_round.len(), 4, "one last-round record per node");
+    let fleet_sum: f64 = last_round.iter().sum();
+    let prom = std::fs::read_to_string(&prom_path).expect("prom file written");
+    let gauge: f64 = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("mzd_server_buffer_occupancy "))
+        .expect("buffer gauge in the exposition")
+        .parse()
+        .expect("gauge value parses");
+    assert!(
+        fleet_sum > last_round[0],
+        "more than one node holds streams"
+    );
+    assert_eq!(gauge, fleet_sum, "per-node values: {last_round:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -192,8 +192,7 @@ fn trace_out_changes_nothing_but_the_trace() {
                  --fault-profile media=0.005:1,scenario=zonefail:1:10:15:20";
     let base = std::env::temp_dir().join(format!("mzd-trace-only-{}", std::process::id()));
     for (mode, flags) in [("node", node), ("fleet", fleet)] {
-        // Same relative artifact paths in both runs, so stdout compares;
-        // `--jobs 1` because fleet events interleave across workers.
+        // Same relative artifact paths in both runs, so stdout compares.
         let run = |trace: &str| {
             let dir = base
                 .join(mode)

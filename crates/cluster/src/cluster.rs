@@ -10,10 +10,10 @@
 //!    while the *cluster's* composed admission cap (`n*` per disk, an
 //!    [`mzd_server::AdmissionController`] at the fleet layer) says yes;
 //!    the node's own controller stays as backstop;
-//! 3. **step** every operational node one round, in parallel via
-//!    `mzd_par::par_map_owned` — each node owns its RNG and reports
-//!    join in node order, so results are byte-identical at any
-//!    `--jobs`;
+//! 3. **step** every operational node one round, in node order on the
+//!    calling thread — each node owns its RNG and writes the shared
+//!    metrics and event sink in a fixed order, so a fleet run is a pure
+//!    function of its seed at any `--jobs`;
 //! 4. **charge** outage glitches: streams hosted on a silent node, and
 //!    migrated streams waiting in queues, receive nothing this round;
 //! 5. **expire** leases; each newly failed node's streams are
@@ -1105,23 +1105,15 @@ impl Cluster {
             h.metrics.hedges_issued.add(hedges.len() as u64);
         }
 
-        // 4. Step every operational node, in parallel. Nodes are moved
-        // into the worker pool and rejoin in node order; each owns its
-        // RNG, so the fleet round is byte-identical at any job count.
-        let stepped = mzd_par::par_map_owned(std::mem::take(&mut self.nodes), |mut node| {
-            let r = if operational[node.id() as usize] {
-                Some(node.server.run_round())
-            } else {
-                None
-            };
-            (node, r)
-        });
-        let mut reports = Vec::with_capacity(stepped.len());
-        self.nodes = Vec::with_capacity(stepped.len());
-        for (node, r) in stepped {
-            reports.push(r);
-            self.nodes.push(node);
-        }
+        // 4. Step every operational node, in node order. Each owns its
+        // RNG, and the shared metrics and event sink see the nodes in a
+        // fixed order, so the fleet round is byte-identical at any job
+        // count.
+        let reports: Vec<_> = self
+            .nodes
+            .iter_mut()
+            .map(|node| operational[node.id() as usize].then(|| node.server.run_round()))
+            .collect();
 
         // 4½. Hedge settlement: a hedge wins iff the spare's observed
         // round slack (round length minus its slowest disk this round)
@@ -1155,12 +1147,15 @@ impl Cluster {
         }
 
         // 5. Fold node reports in node order: lease renewals, glitch
-        // attribution, completions.
+        // attribution, completions, and the fleet's client-buffer
+        // backlog (each node set the shared gauge to its own share).
+        let mut buffer_occupancy = 0.0;
         for (i, node_report) in reports.into_iter().enumerate() {
             let i = i as u32;
             let Some(node_report) = node_report else {
                 continue;
             };
+            buffer_occupancy += node_report.buffer_occupancy;
             self.lease.renew(i, round);
             self.metrics.lease_renewals.inc();
             report.late_disks += node_report.disks.iter().filter(|d| d.late).count() as u32;
@@ -1199,6 +1194,7 @@ impl Cluster {
                 report.completed.push(record);
             }
         }
+        self.metrics.buffer_occupancy.set(buffer_occupancy);
 
         // 6. Outage charges: a stream on a silent host receives
         // nothing this round — an unconditional glitch the composed

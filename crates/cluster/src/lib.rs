@@ -36,9 +36,8 @@
 //!   layer uses.
 //!
 //! [`Cluster`] ties the layers together and runs the fleet round loop,
-//! stepping nodes in parallel via `mzd_par::par_map_owned` — results
-//! are byte-identical for any `--jobs` because each node owns its RNG
-//! and results join in node order.
+//! stepping nodes one after another in node order — each node owns its
+//! RNG, so a fleet run is a pure function of its seed at any `--jobs`.
 //!
 //! ```
 //! use mzd_cluster::{Cluster, ClusterConfig};

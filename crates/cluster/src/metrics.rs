@@ -49,6 +49,9 @@ pub(crate) struct ClusterMetrics {
     /// `cluster.p_error_bound` — the composed per-stream bound the
     /// current admission level carries.
     pub p_error_bound: mzd_telemetry::Gauge,
+    /// `server.buffer.occupancy` — the nodes share this gauge, so the
+    /// fleet overwrites it each round with the sum over stepped nodes.
+    pub buffer_occupancy: mzd_telemetry::Gauge,
 }
 
 /// Handles for every `health.*` series, created eagerly when
@@ -131,6 +134,7 @@ impl ClusterMetrics {
             glitches_outage: g.counter("cluster.glitches.outage"),
             queue_depth: g.histogram("cluster.round.queue_depth"),
             p_error_bound: g.gauge("cluster.p_error_bound"),
+            buffer_occupancy: g.gauge("server.buffer.occupancy"),
         }
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! Both `N_max` definitions are maxima of a monotone predicate — the
 //! quality bound degrades as `N` grows — so a linear upward scan with a
-//! hard cap is exact, simple and fast (each probe costs one Chernoff
-//! optimization, microseconds). §5 suggests precomputing a lookup table of
-//! `N_max` per tolerance threshold so the run-time admission decision is a
-//! table lookup; [`AdmissionTable`] is that table.
+//! hard cap is exact, simple and fast. Each probe costs one Chernoff
+//! optimization (microseconds) and the paper's answers are ~26–28, so a
+//! scan is ~30 probes: too little work to be worth a worker pool. §5
+//! suggests precomputing a lookup table of `N_max` per tolerance
+//! threshold so the run-time admission decision is a table lookup;
+//! [`AdmissionTable`] is that table.
 
 use crate::CoreError;
 
@@ -31,37 +33,6 @@ pub fn n_max<F: FnMut(u32) -> f64>(mut quality: F, threshold: f64) -> u32 {
     best
 }
 
-/// Candidate block evaluated per parallel round of the admission scans:
-/// wide enough to keep every worker busy past the ramp-up, narrow enough
-/// that the overshoot past the first violation stays a handful of probes.
-fn scan_block(jobs: usize) -> usize {
-    (jobs * 8).max(32)
-}
-
-/// [`n_max`] with the candidate probes fanned out across the worker
-/// pool. Returns exactly what the serial scan returns: candidates are
-/// evaluated in fixed blocks and the answer is read off the *first*
-/// violation in candidate order, so scheduling cannot change the result
-/// — only non-monotone `quality` past the first violation is probed
-/// differently, and those probes never influence the answer.
-///
-/// Worth it when one probe costs a Chernoff optimization (µs–ms);
-/// pointless for trivially cheap bounds.
-pub fn n_max_par<F: Fn(u32) -> f64 + Sync>(quality: F, threshold: f64) -> u32 {
-    let mut from = 0u32;
-    while from < N_SEARCH_CAP {
-        let block = scan_block(mzd_par::jobs()).min((N_SEARCH_CAP - from) as usize);
-        let probes = mzd_par::par_map_indexed(block, |k| quality(from + 1 + k as u32));
-        // NaN counts as a violation, exactly like the serial scan's
-        // `quality(n) <= threshold` failing.
-        if let Some(k) = probes.iter().position(|&q| !(q <= threshold)) {
-            return from + k as u32;
-        }
-        from += block as u32;
-    }
-    N_SEARCH_CAP
-}
-
 /// A precomputed tolerance → `N_max` lookup table (§5: "a lookup table
 /// with precomputed values of N_max for different tolerance thresholds …
 /// incurs almost no run-time overhead").
@@ -75,8 +46,9 @@ pub struct AdmissionTable {
 }
 
 impl AdmissionTable {
-    /// Build the table by evaluating the monotone `quality` bound once per
-    /// threshold. `thresholds` must be strictly ascending and in `(0, 1]`.
+    /// Build the table with one resumed upward scan of the monotone
+    /// `quality` bound, probing each candidate `n` at most once.
+    /// `thresholds` must be strictly ascending and in `(0, 1]`.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for an empty, unsorted or out-of-range
@@ -88,50 +60,21 @@ impl AdmissionTable {
         Self::validate(thresholds)?;
         // The quality bound is monotone in n, so N_max is nondecreasing in
         // the threshold: resume each search where the previous stopped.
+        // The candidate that crossed one threshold is the first one the
+        // next threshold tests, so its probe is carried over, not
+        // repeated: every n is evaluated exactly once.
         let mut n_max_col = Vec::with_capacity(thresholds.len());
         let mut n = 0u32;
+        let mut next: Option<f64> = None;
         for &thr in thresholds {
-            while n < N_SEARCH_CAP && quality(n + 1) <= thr {
+            while n < N_SEARCH_CAP {
+                let q = *next.get_or_insert_with(|| quality(n + 1));
+                // NaN counts as a violation, like any failed `<=`.
+                if !(q <= thr) {
+                    break;
+                }
                 n += 1;
-            }
-            n_max_col.push(n);
-        }
-        Ok(Self {
-            thresholds: thresholds.to_vec(),
-            n_max: n_max_col,
-        })
-    }
-
-    /// [`Self::build`] with the quality probes fanned out across the
-    /// worker pool. Candidates are evaluated in blocks until one fails
-    /// the *largest* threshold, caching every probe; the serial resumed
-    /// scan then replays over the cache. Since the serial scan never
-    /// probes past the largest threshold's first violation, the cache
-    /// covers everything it reads and the resulting table is identical.
-    ///
-    /// # Errors
-    /// [`CoreError::Invalid`] for an empty, unsorted or out-of-range
-    /// threshold list.
-    pub fn build_par<F: Fn(u32) -> f64 + Sync>(
-        thresholds: &[f64],
-        quality: F,
-    ) -> Result<Self, CoreError> {
-        Self::validate(thresholds)?;
-        let thr_max = *thresholds.last().expect("validated non-empty");
-        let mut cache: Vec<f64> = Vec::new();
-        let mut crossed = false;
-        while !crossed && (cache.len() as u32) < N_SEARCH_CAP {
-            let from = cache.len() as u32;
-            let block = scan_block(mzd_par::jobs()).min((N_SEARCH_CAP - from) as usize);
-            let probes = mzd_par::par_map_indexed(block, |k| quality(from + 1 + k as u32));
-            crossed = probes.iter().any(|&q| !(q <= thr_max));
-            cache.extend(probes);
-        }
-        let mut n_max_col = Vec::with_capacity(thresholds.len());
-        let mut n = 0u32;
-        for &thr in thresholds {
-            while n < N_SEARCH_CAP && cache.get(n as usize).is_some_and(|&q| q <= thr) {
-                n += 1;
+                next = None;
             }
             n_max_col.push(n);
         }
@@ -221,14 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_n_max_matches_serial() {
-        let quality = |n: u32| f64::from(n) / 100.0;
-        for thr in [0.001, 0.25, 0.573, 1.0] {
-            assert_eq!(n_max_par(quality, thr), n_max(quality, thr), "thr {thr}");
-        }
-        // Unbounded quality: both scans hit the cap.
-        assert_eq!(n_max_par(|_| 0.0, 0.5), n_max(|_| 0.0, 0.5));
-        // NaN is a violation in both scans.
+    fn n_max_treats_nan_as_a_violation_and_stops_at_the_cap() {
+        // Unbounded quality: the scan hits the cap.
+        assert_eq!(n_max(|_| 0.0, 0.5), N_SEARCH_CAP);
+        // NaN is a violation, like any failed `<=`.
         let spiky = |n: u32| {
             if n == 7 {
                 f64::NAN
@@ -236,19 +175,37 @@ mod tests {
                 f64::from(n) / 100.0
             }
         };
-        assert_eq!(n_max_par(spiky, 0.5), 6);
         assert_eq!(n_max(spiky, 0.5), 6);
     }
 
     #[test]
-    fn parallel_table_matches_serial() {
-        let quality = |n: u32| (f64::from(n) / 37.0).powi(2);
-        let thresholds = [0.01, 0.1, 0.5, 0.9];
-        let serial = AdmissionTable::build(&thresholds, quality).unwrap();
-        let parallel = AdmissionTable::build_par(&thresholds, quality).unwrap();
-        assert_eq!(serial, parallel);
-        assert!(AdmissionTable::build_par(&[], quality).is_err());
-        assert!(AdmissionTable::build_par(&[0.5, 0.2], quality).is_err());
+    fn table_treats_nan_as_a_violation_and_stops_at_the_cap() {
+        let spiky = |n: u32| {
+            if n == 7 {
+                f64::NAN
+            } else {
+                f64::from(n) / 100.0
+            }
+        };
+        let t = AdmissionTable::build(&[0.03, 0.5, 0.9], spiky).unwrap();
+        assert_eq!(t.rows().map(|(_, n)| n).collect::<Vec<_>>(), [3, 6, 6]);
+        let capped = AdmissionTable::build(&[0.1, 0.5], |_| 0.0).unwrap();
+        assert_eq!(capped.lookup(0.1), N_SEARCH_CAP);
+    }
+
+    #[test]
+    fn table_build_probes_each_n_once() {
+        let mut probes = Vec::new();
+        let t = AdmissionTable::build(&[0.1, 0.3, 0.5], |n| {
+            probes.push(n);
+            f64::from(n) / 10.0
+        })
+        .unwrap();
+        assert_eq!(t.rows().map(|(_, n)| n).collect::<Vec<_>>(), [1, 3, 5]);
+        // 1..=6, each once: 6 is the first violation of the largest
+        // threshold. The candidates 2 and 4, which crossed the smaller
+        // thresholds, are not probed again.
+        assert_eq!(probes, [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

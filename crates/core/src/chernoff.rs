@@ -31,9 +31,10 @@ fn chernoff_metrics() -> &'static (mzd_telemetry::Histogram, mzd_telemetry::Coun
     static METRICS: OnceLock<(mzd_telemetry::Histogram, mzd_telemetry::Counter)> = OnceLock::new();
     METRICS.get_or_init(|| {
         let g = mzd_telemetry::global();
-        // Execution-scoped: how many evaluations the minimizer spends
-        // (and which candidate points get evaluated at all) depends on
-        // parallel range splitting, not on the modeled system.
+        // Execution-scoped: how many evaluations the minimizer spends,
+        // and which candidate points get evaluated at all, measure how
+        // the solver searches (a resumed table scan probes fewer points
+        // than independent searches), not the modeled system.
         (
             g.execution_histogram("core.chernoff.iterations"),
             g.execution_counter("core.chernoff.converge_fail"),

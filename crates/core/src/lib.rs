@@ -315,7 +315,7 @@ impl GuaranteeModel {
     pub fn n_max_late(&self, t: f64, delta: f64) -> Result<u32, CoreError> {
         validate_threshold(delta)?;
         validate_round_length(t)?;
-        Ok(admission::n_max_par(
+        Ok(admission::n_max(
             |n| {
                 self.round_service(n)
                     .map(|r| r.p_late_bound(t).probability)
@@ -333,7 +333,7 @@ impl GuaranteeModel {
     pub fn n_max_error(&self, t: f64, m: u64, g: u64, epsilon: f64) -> Result<u32, CoreError> {
         validate_threshold(epsilon)?;
         validate_round_length(t)?;
-        Ok(admission::n_max_par(
+        Ok(admission::n_max(
             |n| {
                 self.p_error_bound(n, t, m, g)
                     .expect("round length validated above")
@@ -353,7 +353,7 @@ impl GuaranteeModel {
         thresholds: &[f64],
     ) -> Result<AdmissionTable, CoreError> {
         validate_round_length(t)?;
-        AdmissionTable::build_par(thresholds, |n| {
+        AdmissionTable::build(thresholds, |n| {
             self.p_late_bound(n, t).expect("validated above")
         })
     }
@@ -371,7 +371,7 @@ impl GuaranteeModel {
         thresholds: &[f64],
     ) -> Result<AdmissionTable, CoreError> {
         validate_round_length(t)?;
-        AdmissionTable::build_par(thresholds, |n| {
+        AdmissionTable::build(thresholds, |n| {
             self.p_error_bound(n, t, m, g).expect("validated above")
         })
     }

@@ -53,26 +53,6 @@ impl DiskProfile {
         Disk::new(self.cylinders, self.rotation_time, seek, zones)
     }
 
-    /// The same drive re-profiled as a conventional single-zone disk whose
-    /// track capacity is the capacity-weighted mean of the original zones —
-    /// the "ignore zoning" ablation (what a pre-multi-zone model would
-    /// assume, cf. §3.1 vs §3.2).
-    #[must_use]
-    pub fn flattened_to_single_zone(&self) -> DiskProfile {
-        // Capacity-weighted mean capacity of the linear profile:
-        // E[C_i] under P ∝ C_i. Build the zone model to compute it exactly.
-        let mean_cap = ZoneModel::linear(self.zones, self.c_min, self.c_max)
-            .map(|z| z.capacity_weighted_capacity_moment(1))
-            .unwrap_or((self.c_min + self.c_max) / 2.0);
-        DiskProfile {
-            name: "single-zone flattening",
-            zones: 1,
-            c_min: mean_cap,
-            c_max: mean_cap,
-            ..self.clone()
-        }
-    }
-
     /// The same drive with the innermost-zone rate everywhere — the
     /// conservative single-zone reading used by worst-case designs.
     #[must_use]
@@ -199,15 +179,6 @@ mod tests {
         // Rate = 75 000 / 0.00834 ≈ 8.993 MB/s.
         assert!((d.min_rate() - 75_000.0 / 0.00834).abs() < 1e-6);
         assert_eq!(d.min_rate(), d.max_rate());
-    }
-
-    #[test]
-    fn flattened_preserves_mean_rate() {
-        let p = quantum_viking_2_1();
-        let multi = p.build().unwrap();
-        let flat = p.flattened_to_single_zone().build().unwrap();
-        assert_eq!(flat.zone_count(), 1);
-        assert!((flat.mean_rate() - multi.mean_rate()).abs() / multi.mean_rate() < 1e-12);
     }
 
     #[test]

@@ -138,15 +138,6 @@ impl ZoneModel {
         self.capacities[zone] / self.total
     }
 
-    /// CDF of the zone-selection law: `P[zone ≤ i]` (eq. 3.2.1 summed).
-    ///
-    /// # Panics
-    /// Panics if `zone` is out of range.
-    #[must_use]
-    pub fn zone_cdf(&self, zone: usize) -> f64 {
-        self.capacities[..=zone].iter().sum::<f64>() / self.total
-    }
-
     /// `E[(C_i)^k]` under the capacity-weighted law: `Σ (C_i/C) · C_i^k`.
     /// Negative `k` gives the inverse-capacity moments that translate
     /// size moments into transfer-time moments.
@@ -287,11 +278,6 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-12);
         for i in 1..15 {
             assert!(z.zone_probability(i) > z.zone_probability(i - 1));
-        }
-        assert!((z.zone_cdf(14) - 1.0).abs() < 1e-12);
-        // CDF is monotone.
-        for i in 1..15 {
-            assert!(z.zone_cdf(i) > z.zone_cdf(i - 1));
         }
     }
 

@@ -1,8 +1,11 @@
 //! Deterministic parallel execution for the mzd workspace.
 //!
-//! Every compute-heavy path in the reproduction — the §3 `N_max`
-//! searches, the Gil–Pelaez CDF tabulation, the §4 validation sweeps —
-//! is embarrassingly parallel across parameter points or replications.
+//! The compute-heavy paths of the reproduction — the Gil–Pelaez CDF
+//! tabulation, the §4 replicated validation runs and sweeps, the
+//! experiments' parameter points — are embarrassingly parallel across
+//! parameter points or replications. (The §3 `N_max` searches and the
+//! fleet round stay serial: a search is ~30 probes of microseconds,
+//! and fleet nodes share one metric registry and event sink.)
 //! This crate provides the one primitive they all share: an
 //! order-preserving parallel map over an index range, backed by a
 //! process-global work-stealing pool (dependency-free, `std` threads
@@ -101,12 +104,6 @@ pub fn set_jobs(jobs: usize) {
     JOBS.store(jobs, Ordering::Relaxed);
 }
 
-/// The effective global worker count.
-#[must_use]
-pub fn jobs() -> usize {
-    Parallelism::current().get()
-}
-
 /// SplitMix64-derive an independent sub-seed for replication `index` of
 /// a run seeded `base`. Used so parallel replications draw from
 /// independent, index-keyed streams: the mapping is fixed by `(base,
@@ -155,38 +152,6 @@ where
                 .expect("every index executed exactly once")
         })
         .collect()
-}
-
-/// `items.into_iter().map(f)` evaluated across [`Parallelism::current`]
-/// workers, results joined in input order. The owned-item variant of
-/// [`par_map`], for stepping stateful values (e.g. a fleet of simulator
-/// nodes) in parallel: each task takes its item by value, so tasks stay
-/// pure functions of their own item with no shared mutable state.
-pub fn par_map_owned<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    par_map_owned_with(Parallelism::current(), items, f)
-}
-
-/// [`par_map_owned`] with an explicit worker count.
-fn par_map_owned_with<T, U, F>(par: Parallelism, items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    par_map_indexed_with(par, slots.len(), |i| {
-        let item = slots[i]
-            .lock()
-            .expect("item slot")
-            .take()
-            .expect("every index consumed exactly once");
-        f(item)
-    })
 }
 
 /// `items.iter().map(f)` evaluated across [`Parallelism::current`]
@@ -245,26 +210,6 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
         }
-    }
-
-    #[test]
-    fn par_map_owned_moves_items_and_preserves_order() {
-        // Stateful items stepped by value: each result must come from its
-        // own input, in input order, for any worker count.
-        for jobs in [1usize, 2, 8] {
-            let items: Vec<(usize, Vec<u64>)> =
-                (0..97).map(|i| (i, vec![i as u64; i % 5])).collect();
-            let out = par_map_owned_with(Parallelism::new(jobs), items, |(i, v)| {
-                (i, v.iter().sum::<u64>())
-            });
-            assert_eq!(out.len(), 97);
-            for (k, (i, sum)) in out.iter().enumerate() {
-                assert_eq!(*i, k, "jobs = {jobs}");
-                assert_eq!(*sum, (k as u64) * ((k % 5) as u64), "jobs = {jobs}");
-            }
-        }
-        let empty: Vec<u8> = par_map_owned(Vec::<u8>::new(), |x| x);
-        assert!(empty.is_empty());
     }
 
     #[test]
@@ -335,7 +280,6 @@ mod tests {
         // so concurrently running tests see the hardware value again.
         set_jobs(3);
         assert_eq!(Parallelism::current().get(), 3);
-        assert_eq!(jobs(), 3);
         set_jobs(0);
         assert_eq!(Parallelism::current().get(), Parallelism::available().get());
     }

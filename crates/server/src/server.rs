@@ -269,6 +269,9 @@ pub struct RoundReport {
     pub completed_streams: Vec<u64>,
     /// Stream ids admitted from the wait queue at the end of this round.
     pub admitted_from_queue: Vec<u64>,
+    /// Total client-buffer backlog (bytes) after this round, the value
+    /// of the `server.buffer.occupancy` gauge.
+    pub buffer_occupancy: f64,
 }
 
 /// The continuous-media server.
@@ -1444,14 +1447,15 @@ impl VideoServer {
         // Capacity freed by completions goes to waiting requests (§1:
         // postponed admissions resume when streams terminate).
         let newly_admitted = self.drain_wait_queue();
+        let occupancy: f64 = self.sessions.iter().map(|s| s.buffer.occupancy()).sum();
         let report = RoundReport {
             round: self.rounds_run - 1,
             disks: disk_summaries,
             glitched_streams: glitched_ids,
             completed_streams: completed_ids,
             admitted_from_queue: newly_admitted.iter().map(StreamHandle::id).collect(),
+            buffer_occupancy: occupancy,
         };
-        let occupancy: f64 = self.sessions.iter().map(|s| s.buffer.occupancy()).sum();
         self.metrics.buffer_occupancy.set(occupancy);
         if mzd_telemetry::events_enabled() {
             mzd_telemetry::emit(

@@ -36,17 +36,6 @@ impl GlitchAccounting {
         }
     }
 
-    /// Fraction of streams with at least `g` glitches — the empirical
-    /// per-stream failure rate behind `p_error`.
-    #[must_use]
-    pub fn stream_failure_fraction(&self, g: u64) -> f64 {
-        if self.glitches_per_stream.is_empty() {
-            return 0.0;
-        }
-        let failures = self.glitches_per_stream.iter().filter(|&&c| c >= g).count();
-        failures as f64 / self.glitches_per_stream.len() as f64
-    }
-
     /// Mean glitches per stream over the window.
     #[must_use]
     pub fn mean_glitches_per_stream(&self) -> f64 {
@@ -247,7 +236,6 @@ mod tests {
         assert_eq!(acc.late_rounds, 0);
         assert_eq!(acc.p_late(), 0.0);
         assert_eq!(acc.mean_glitches_per_stream(), 0.0);
-        assert_eq!(acc.stream_failure_fraction(1), 0.0);
     }
 
     #[test]
@@ -256,7 +244,7 @@ mod tests {
         let acc = e.run_window(60, 100);
         assert_eq!(acc.late_rounds, 100);
         assert_eq!(acc.p_late(), 1.0);
-        assert!(acc.stream_failure_fraction(1) > 0.9);
+        assert!(acc.mean_glitches_per_stream() > 0.9);
     }
 
     #[test]
@@ -266,19 +254,6 @@ mod tests {
         assert_eq!(acc.rounds, 400);
         assert_eq!(acc.glitches_per_stream.len(), 80);
         assert_eq!(acc.service_time.count(), 400);
-    }
-
-    #[test]
-    fn failure_fraction_thresholds_are_monotone() {
-        let mut e = engine(5);
-        let acc = e.run_window(31, 1200);
-        let mut prev = 1.0;
-        for g in [0u64, 1, 2, 5, 12, 100] {
-            let f = acc.stream_failure_fraction(g);
-            assert!(f <= prev, "g = {g}");
-            prev = f;
-        }
-        assert_eq!(acc.stream_failure_fraction(0), 1.0);
     }
 
     #[test]
@@ -319,7 +294,6 @@ mod tests {
             seek_time: OnlineStats::new(),
         };
         assert_eq!(acc.p_late(), 0.0);
-        assert_eq!(acc.stream_failure_fraction(1), 0.0);
         assert_eq!(acc.mean_glitches_per_stream(), 0.0);
     }
 }

@@ -3,6 +3,11 @@
 //! and reuses them across rounds, so the per-round hot path is
 //! allocation-free once warmed up. Verified with a counting global
 //! allocator installed for this test binary only.
+//!
+//! The binary has no libtest harness (`harness = false`): the counter
+//! is process-wide, and the harness's own threads allocate while the
+//! counted rounds run. Without them, the main thread is the only one
+//! that runs.
 
 use mzd_sim::{RoundSimulator, SimConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -36,8 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_rounds_do_zero_allocations() {
+fn main() {
     let cfg = SimConfig::paper_reference().unwrap();
     // Capacity sized to the round we run — the admission-cap contract.
     let n = 20u32;

@@ -135,20 +135,6 @@ impl GopModel {
         Ok(self)
     }
 
-    /// Tune the per-frame coefficient of variation.
-    ///
-    /// # Errors
-    /// [`WorkloadError::Invalid`] unless `cv > 0`.
-    pub fn with_frame_cv(mut self, cv: f64) -> Result<Self, WorkloadError> {
-        if !(cv > 0.0) || !cv.is_finite() {
-            return Err(WorkloadError::Invalid(format!(
-                "frame cv must be positive, got {cv}"
-            )));
-        }
-        self.cv = cv;
-        Ok(self)
-    }
-
     /// Mean bandwidth implied by the pattern and mean sizes, bits/second.
     #[must_use]
     pub fn mean_bandwidth_bits(&self) -> f64 {
@@ -371,26 +357,6 @@ mod tests {
             .with_scene(0.5, -0.1, 10.0)
             .is_err());
         assert!(GopModel::mpeg2_default().with_scene(0.5, 0.1, 0.5).is_err());
-    }
-
-    #[test]
-    fn frame_cv_tuning() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let lo = GopModel::mpeg2_default()
-            .without_scene_correlation()
-            .with_frame_cv(0.05)
-            .unwrap()
-            .generate_trace(1000.0, 1.0, &mut rng)
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(22);
-        let hi = GopModel::mpeg2_default()
-            .without_scene_correlation()
-            .with_frame_cv(1.2)
-            .unwrap()
-            .generate_trace(1000.0, 1.0, &mut rng)
-            .unwrap();
-        assert!(hi.variance() > 5.0 * lo.variance());
-        assert!(GopModel::mpeg2_default().with_frame_cv(0.0).is_err());
     }
 
     #[test]

@@ -108,8 +108,9 @@ fn replicated_windows_are_identical_across_job_counts() {
 fn cluster_fleet_is_identical_across_job_counts() {
     let _guard = JOBS_LOCK.lock().unwrap();
     // A 16-node fleet with a scripted mid-run node outage: the round
-    // loop steps nodes in parallel (`par_map_owned`), so this pins the
-    // whole dispatch/step/migrate cycle to the determinism contract.
+    // loop steps its nodes serially in node order, and this pins the
+    // whole dispatch/step/migrate cycle to the determinism contract at
+    // every worker count.
     let run = || {
         let mut cfg = mzd_cluster::ClusterConfig::paper_reference(16, 2).unwrap();
         cfg.lease_rounds = 2;
