@@ -217,3 +217,48 @@ fn fleet_buffer_gauge_sums_every_node() {
     assert_eq!(gauge, fleet_sum, "per-node values: {last_round:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn admission_search_runs_once_per_process() {
+    // The N_max search is one upward eq. 3.3.3 scan, one Chernoff
+    // minimization per candidate 1..=N_max + 1, run once whatever the
+    // fleet size: the composition reuses it for n* and every node is
+    // handed the limit rather than searching again. The paper's N_max
+    // is 28 (eq. 3.3.6), so each run records 29 minimizations.
+    let dir = temp_dir("search-count");
+    for nodes in [1u32, 2, 16] {
+        let metrics_path = dir.join(format!("metrics-{nodes}.json"));
+        let output = Command::new(env!("CARGO_BIN_EXE_mzd"))
+            .args([
+                "serve",
+                "--nodes",
+                &nodes.to_string(),
+                "--disks",
+                "2",
+                "--rounds",
+                "20",
+                "--seed",
+                "3",
+                "-q",
+                "--metrics-out",
+                metrics_path.to_str().unwrap(),
+            ])
+            .output()
+            .expect("failed to spawn mzd");
+        assert!(
+            output.status.success(),
+            "mzd serve --nodes {nodes} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let metrics = parse(&std::fs::read_to_string(&metrics_path).expect("metrics written"))
+            .expect("metrics JSON parses");
+        let count = metrics
+            .get("histograms")
+            .and_then(|h| h.get("core.chernoff.iterations"))
+            .and_then(|h| h.get("count"))
+            .and_then(Value::as_f64)
+            .expect("core.chernoff.iterations count");
+        assert_eq!(count, 29.0, "--nodes {nodes}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

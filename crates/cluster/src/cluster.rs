@@ -412,6 +412,13 @@ impl Cluster {
             cfg.node.round_length,
             cfg.node.target,
         );
+        // Each node enforces the single-node N_max the composition already
+        // searched; the fleet's own cap above is the composed n*.
+        let node_admission = AdmissionController::with_limit(
+            guarantee.n_max_single,
+            cfg.node.round_length,
+            cfg.node.target,
+        );
         let nodes = (0..cfg.nodes)
             .map(|i| {
                 let mut node_cfg = cfg.node.clone();
@@ -420,7 +427,12 @@ impl Cluster {
                         fc.profile = fc.profile.without_gray();
                     }
                 }
-                ServerNode::new(i, node_cfg, mzd_par::derive_seed(seed, u64::from(i)))
+                ServerNode::new(
+                    i,
+                    node_cfg,
+                    node_admission.clone(),
+                    mzd_par::derive_seed(seed, u64::from(i)),
+                )
             })
             .collect::<Result<Vec<_>, _>>()?;
         let placement = Placement::new(cfg.nodes)?;
@@ -845,7 +857,7 @@ impl Cluster {
                         .node_capacity
                         .saturating_sub(active)
                         .saturating_sub(queued),
-                    min_disk_load: n.server.per_disk_load().iter().copied().min().unwrap_or(0),
+                    min_disk_load: n.server.disk_loads().iter().copied().min().unwrap_or(0),
                 }
             })
             .collect()
@@ -1014,7 +1026,7 @@ impl Cluster {
             while self.dispatcher.peek(i).is_some() {
                 if !matches!(
                     self.admission
-                        .decide(&self.nodes[i as usize].server.per_disk_load()),
+                        .decide(self.nodes[i as usize].server.disk_loads()),
                     AdmissionDecision::Admit
                 ) {
                     break;
@@ -1253,7 +1265,7 @@ impl Cluster {
                         return None;
                     }
                     let sweep: f64 = report.node_service_times[i as usize].iter().sum();
-                    let load: u32 = self.nodes[i as usize].server.per_disk_load().iter().sum();
+                    let load: u32 = self.nodes[i as usize].server.disk_loads().iter().sum();
                     // A zero sweep or an empty node carries no signal
                     // (and an idle-heavy fleet must not collapse the
                     // baseline median to zero).

@@ -134,7 +134,11 @@ impl ClusterGuarantee {
                 "fleet needs at least one node and one disk per node".into(),
             ));
         }
-        let n_max_single = model.n_max_error(round_length, m, g, epsilon)?;
+        // One eq. 3.3.3 scan serves both searches: the upward one for
+        // the single-node cap sums p_late up to n_max_single + 1, and the
+        // walk down below reads that prefix without a new minimization.
+        let mut scan = model.glitch_scan(round_length)?;
+        let n_max_single = scan.n_max_error(m, g, epsilon)?;
         let ell = u64::from(lease_rounds) + u64::from(REQUEUE_SLACK_ROUNDS);
         if ell >= g {
             return Err(ClusterError::Invalid(format!(
@@ -152,7 +156,7 @@ impl ClusterGuarantee {
         let mut found = None;
         let mut n = n_max_single;
         while n >= 1 {
-            let p_glitch = model.p_glitch_bound(n, round_length)?;
+            let p_glitch = scan.p_glitch(n);
             let p_error = mzd_core::glitch::stream_error_bound(p_glitch, m, g_effective);
             if p_error <= epsilon {
                 found = Some((n, p_glitch, p_error));
@@ -225,6 +229,34 @@ mod tests {
         assert_eq!(g.fleet_capacity, 3 * u64::from(g.node_capacity));
         let expect_any = (g.fleet_capacity as f64 * g.p_error_stream).min(1.0);
         assert_eq!(g.p_error_any.to_bits(), expect_any.to_bits());
+    }
+
+    #[test]
+    fn composition_matches_the_per_call_fold_bit_for_bit() {
+        // The composition on the shared scan against fresh eq. 3.3.3
+        // folds: the single-node search up, then the walk down to n*.
+        let m = model();
+        let p_glitch = |n: u32| {
+            let sum: f64 = (1..=n)
+                .map(|k| {
+                    let r = m.round_service(k).unwrap();
+                    r.p_late_bound(1.0).probability.clamp(0.0, 1.0)
+                })
+                .sum();
+            (sum / f64::from(n)).min(1.0)
+        };
+        let tail = |n: u32, g: u64| mzd_core::glitch::stream_error_bound(p_glitch(n), 1200, g);
+        let n_max = mzd_core::admission::n_max(|n| tail(n, 12), 0.01);
+        for lease in [3u32, 6] {
+            let g_eff = 12 - u64::from(lease + REQUEUE_SLACK_ROUNDS);
+            let n_star = (1..=n_max).rev().find(|&n| tail(n, g_eff) <= 0.01).unwrap();
+            let c = ClusterGuarantee::compose(&m, 1.0, target(), 4, 2, lease).unwrap();
+            assert_eq!(c.n_max_single, n_max);
+            assert_eq!(c.n_star, n_star, "lease {lease}");
+            assert!(n_star < n_max, "the walk down must take a step");
+            assert_eq!(c.p_glitch_round.to_bits(), p_glitch(n_star).to_bits());
+            assert_eq!(c.p_error_stream.to_bits(), tail(n_star, g_eff).to_bits());
+        }
     }
 
     #[test]

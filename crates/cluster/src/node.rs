@@ -5,7 +5,7 @@
 //! steps rounds, and reads the server's own round reports and session
 //! manifests.
 
-use mzd_server::{ServerConfig, SloSettings, VideoServer};
+use mzd_server::{AdmissionController, ServerConfig, SloSettings, VideoServer};
 
 use crate::ClusterError;
 
@@ -17,16 +17,23 @@ pub struct ServerNode {
 }
 
 impl ServerNode {
-    /// Bring up one node from a per-node server configuration. When the
-    /// config carries a degradation ladder, the SLO layer that drives it
-    /// is enabled automatically (as `mzd serve --degrade` does).
+    /// Bring up one node from a per-node server configuration and the
+    /// admission controller it enforces (the fleet searches the limit
+    /// once and hands every node a copy). When the config carries a
+    /// degradation ladder, the SLO layer that drives it is enabled
+    /// automatically (as `mzd serve --degrade` does).
     ///
     /// # Errors
     /// Propagates server configuration errors.
-    pub fn new(id: u32, cfg: ServerConfig, seed: u64) -> Result<Self, ClusterError> {
+    pub fn new(
+        id: u32,
+        cfg: ServerConfig,
+        admission: AdmissionController,
+        seed: u64,
+    ) -> Result<Self, ClusterError> {
         let degrade = cfg.degrade.is_some();
         let target = cfg.target;
-        let mut server = VideoServer::new(cfg, seed)?;
+        let mut server = VideoServer::with_admission(cfg, admission, seed)?;
         if degrade {
             server.enable_slo(SloSettings::for_target(target))?;
         }
@@ -52,7 +59,11 @@ mod tests {
     use mzd_workload::ObjectSpec;
 
     fn node(disks: u32, seed: u64) -> ServerNode {
-        ServerNode::new(3, ServerConfig::paper_reference(disks).unwrap(), seed).unwrap()
+        let cfg = ServerConfig::paper_reference(disks).unwrap();
+        let admission =
+            AdmissionController::from_model(&cfg.model().unwrap(), cfg.round_length, cfg.target)
+                .unwrap();
+        ServerNode::new(3, cfg, admission, seed).unwrap()
     }
 
     fn obj(rounds: u32) -> ObjectSpec {

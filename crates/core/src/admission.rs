@@ -2,9 +2,13 @@
 //!
 //! Both `N_max` definitions are maxima of a monotone predicate — the
 //! quality bound degrades as `N` grows — so a linear upward scan with a
-//! hard cap is exact, simple and fast. Each probe costs one Chernoff
-//! optimization (microseconds) and the paper's answers are ~26–28, so a
-//! scan is ~30 probes: too little work to be worth a worker pool. §5
+//! hard cap is exact, simple and fast. A probe of `p_late(N)` is one
+//! Chernoff minimization (microseconds). A probe of `p_error(N)` averages
+//! `p_late(k)` over `k ≤ N` (eq. 3.3.3), and
+//! [`crate::glitch::GlitchScan`] keeps that sum as a running prefix, so
+//! it too adds one minimization per candidate. The paper's answers are
+//! ~26–28, so either search is ~30 minimizations: too little work to be
+//! worth a worker pool. §5
 //! suggests precomputing a lookup table of `N_max` per tolerance
 //! threshold so the run-time admission decision is a table lookup;
 //! [`AdmissionTable`] is that table.

@@ -15,18 +15,66 @@
 
 use mzd_numerics::special::ln_choose;
 
+use crate::CoreError;
+
 /// The per-round, per-stream glitch probability bound
-/// `b_glitch(N, t) = (1/N) Σ_{k=1..N} b_late(k, t)` (eq. 3.3.3).
+/// `b_glitch(N, t) = (1/N) Σ_{k=1..N} b_late(k, t)` (eq. 3.3.3), kept as
+/// one lazily extended prefix sum of the clamped `p_late(k)` terms.
 ///
 /// `p_late(k)` must return the (bound on the) probability that a round of
-/// `k` requests misses the deadline; it is evaluated for `k = 1..=n`.
-/// Returns 0 for `n == 0`.
-pub fn glitch_probability_bound<F: FnMut(u32) -> f64>(n: u32, mut p_late: F) -> f64 {
-    if n == 0 {
-        return 0.0;
+/// `k` requests misses the deadline. Every bound at `n` reuses the terms
+/// already summed for smaller `n`, so an upward `N_max` scan (eq. 3.3.6)
+/// evaluates each `k` once — one Chernoff minimization per candidate —
+/// and a later walk back down evaluates nothing. The terms are added
+/// left to right from `k = 1`, so the bound at `n` has the same bits
+/// whatever order the `n` are asked in.
+#[derive(Debug)]
+pub struct GlitchScan<F> {
+    p_late: F,
+    /// `prefix[k] = Σ_{j=1..k} clamp(p_late(j), 0, 1)`; `prefix[0] = 0`.
+    prefix: Vec<f64>,
+}
+
+impl<F: FnMut(u32) -> f64> GlitchScan<F> {
+    /// An empty scan over `p_late`; nothing is evaluated until a bound
+    /// is asked for.
+    pub fn new(p_late: F) -> Self {
+        Self {
+            p_late,
+            prefix: vec![0.0],
+        }
     }
-    let sum: f64 = (1..=n).map(|k| p_late(k).clamp(0.0, 1.0)).sum();
-    (sum / f64::from(n)).min(1.0)
+
+    /// `b_glitch(n, t)` (eq. 3.3.3), clamped to 1. Evaluates `p_late(k)`
+    /// only for the `k ≤ n` not yet summed. Returns 0 for `n == 0`.
+    pub fn p_glitch(&mut self, n: u32) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        while self.prefix.len() <= n as usize {
+            let k = self.prefix.len() as u32;
+            let sum = self.prefix[k as usize - 1] + (self.p_late)(k).clamp(0.0, 1.0);
+            self.prefix.push(sum);
+        }
+        (self.prefix[n as usize] / f64::from(n)).min(1.0)
+    }
+
+    /// `p_error(n, t, m, g)` (eq. 3.3.5): the Hagerup–Rüb tail at
+    /// [`Self::p_glitch`].
+    pub fn p_error(&mut self, n: u32, m: u64, g: u64) -> f64 {
+        stream_error_bound(self.p_glitch(n), m, g)
+    }
+
+    /// `N_max` under the per-stream glitch-rate criterion (eq. 3.3.6):
+    /// the largest `n` with `p_error(n, t, m, g) ≤ epsilon`. Evaluates
+    /// `p_late(k)` for `k = 1..=N_max + 1` at most, each once.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] for `epsilon` outside `(0, 1]`.
+    pub fn n_max_error(&mut self, m: u64, g: u64, epsilon: f64) -> Result<u32, CoreError> {
+        crate::validate_threshold(epsilon)?;
+        Ok(crate::admission::n_max(|n| self.p_error(n, m, g), epsilon))
+    }
 }
 
 /// The Hagerup–Rüb Chernoff bound on the upper binomial tail
@@ -110,27 +158,66 @@ mod tests {
     #[test]
     fn glitch_bound_averages_p_late() {
         // p_late(k) = k/10 → average over k=1..4 is (1+2+3+4)/(10·4) = 0.25.
-        let b = glitch_probability_bound(4, |k| f64::from(k) / 10.0);
+        let b = GlitchScan::new(|k| f64::from(k) / 10.0).p_glitch(4);
         assert!((b - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn glitch_bound_edge_cases() {
-        assert_eq!(glitch_probability_bound(0, |_| 0.5), 0.0);
+        assert_eq!(GlitchScan::new(|_| 0.5).p_glitch(0), 0.0);
         // Clamped to 1 even if the per-round bounds are vacuous.
-        assert_eq!(glitch_probability_bound(5, |_| 2.0), 1.0);
+        assert_eq!(GlitchScan::new(|_| 2.0).p_glitch(5), 1.0);
         // All-zero late probabilities → zero glitch probability.
-        assert_eq!(glitch_probability_bound(5, |_| 0.0), 0.0);
+        assert_eq!(GlitchScan::new(|_| 0.0).p_glitch(5), 0.0);
     }
 
     #[test]
     fn glitch_bound_evaluates_every_k_once() {
         let mut calls = Vec::new();
-        let _ = glitch_probability_bound(6, |k| {
+        let mut scan = GlitchScan::new(|k| {
             calls.push(k);
-            0.0
+            f64::from(k) / 64.0
         });
-        assert_eq!(calls, vec![1, 2, 3, 4, 5, 6]);
+        // Up, down, repeated and past the end: each k is summed once,
+        // in order, and a bound below the summed prefix costs nothing.
+        let b6 = scan.p_glitch(6);
+        let b3 = scan.p_glitch(3);
+        assert_eq!(scan.p_glitch(6).to_bits(), b6.to_bits());
+        let b8 = scan.p_glitch(8);
+        drop(scan);
+        assert_eq!(calls, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!((b3 - 2.0 / 64.0).abs() < 1e-15);
+        assert!(b3 < b6 && b6 < b8);
+    }
+
+    #[test]
+    fn scan_n_max_probes_to_the_first_violation_only() {
+        let mut calls = 0;
+        // p_glitch(n) = (n + 1)/200 for a linear p_late(k) = k/100.
+        let mut scan = GlitchScan::new(|k| {
+            calls += 1;
+            f64::from(k) / 100.0
+        });
+        // Binomial tail of 1 glitch in 1 round = p_glitch itself.
+        let n = scan.n_max_error(1, 1, 0.1025).unwrap();
+        assert!(scan.n_max_error(1, 1, 0.0).is_err());
+        assert!(scan.n_max_error(1, 1, 1.5).is_err());
+        drop(scan);
+        // (n + 1)/200 ≤ 0.1025 ⇔ n ≤ 19; n = 20 is the first violation.
+        assert_eq!(n, 19);
+        assert_eq!(calls, 20);
+    }
+
+    #[test]
+    fn scan_sums_left_to_right_like_the_eq_333_fold() {
+        // Terms whose sum depends on the association order.
+        let p = |k: u32| [1e-3, 1e-19, 3e-17, 0.7, 1e-16, 0.2, 5e-18][k as usize - 1];
+        let mut scan = GlitchScan::new(p);
+        for n in (1..=7u32).rev().chain(1..=7) {
+            let fold: f64 = (1..=n).map(p).sum();
+            let want = (fold / f64::from(n)).min(1.0);
+            assert_eq!(scan.p_glitch(n).to_bits(), want.to_bits(), "n = {n}");
+        }
     }
 
     #[test]

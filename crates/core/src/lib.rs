@@ -254,18 +254,35 @@ impl GuaranteeModel {
         Ok((1.0 - exact::p_late_exact(&self.round_service(n)?, t)?).clamp(0.0, 1.0))
     }
 
-    /// Bound on the per-round glitch probability of one stream among `n` —
-    /// `b_glitch(n, t)` of eq. 3.3.3.
+    /// The eq. 3.3.3 prefix scan of Chernoff `p_late(k, t)` bounds at
+    /// round length `t`: [`Self::p_glitch_bound`], [`Self::p_error_bound`],
+    /// [`Self::n_max_error`] and [`Self::admission_table_error`] in one
+    /// object, sharing every minimization. Keep the scan to ask several
+    /// of them without repeating work (a fleet's composed cap walks down
+    /// from the single-node `N_max` this way).
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for a non-positive round length.
-    pub fn p_glitch_bound(&self, n: u32, t: f64) -> Result<f64, CoreError> {
+    pub fn glitch_scan(
+        &self,
+        t: f64,
+    ) -> Result<glitch::GlitchScan<impl FnMut(u32) -> f64 + '_>, CoreError> {
         validate_round_length(t)?;
-        Ok(glitch::glitch_probability_bound(n, |k| {
+        Ok(glitch::GlitchScan::new(move |k| {
             self.round_service(k)
                 .map(|r| r.p_late_bound(t).probability)
                 .unwrap_or(1.0)
         }))
+    }
+
+    /// Bound on the per-round glitch probability of one stream among `n` —
+    /// `b_glitch(n, t)` of eq. 3.3.3. Costs `n` minimizations; use
+    /// [`Self::glitch_scan`] to evaluate several `n`.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] for a non-positive round length.
+    pub fn p_glitch_bound(&self, n: u32, t: f64) -> Result<f64, CoreError> {
+        Ok(self.glitch_scan(t)?.p_glitch(n))
     }
 
     /// Bound on `P[stream of m rounds suffers ≥ g glitches]` — `p_error`
@@ -274,8 +291,7 @@ impl GuaranteeModel {
     /// # Errors
     /// [`CoreError::Invalid`] for a non-positive round length.
     pub fn p_error_bound(&self, n: u32, t: f64, m: u64, g: u64) -> Result<f64, CoreError> {
-        let p_glitch = self.p_glitch_bound(n, t)?;
-        Ok(glitch::stream_error_bound(p_glitch, m, g))
+        Ok(self.glitch_scan(t)?.p_error(n, m, g))
     }
 
     /// The fully *exact* model pipeline for `p_error`: exact per-round
@@ -288,7 +304,7 @@ impl GuaranteeModel {
     pub fn p_error_exact(&self, n: u32, t: f64, m: u64, g: u64) -> Result<f64, CoreError> {
         validate_round_length(t)?;
         let mut err = None;
-        let p_glitch = glitch::glitch_probability_bound(n, |k| {
+        let p_glitch = glitch::GlitchScan::new(|k| {
             match self
                 .round_service(k)
                 .and_then(|r| exact::p_late_exact(&r, t))
@@ -299,7 +315,8 @@ impl GuaranteeModel {
                     1.0
                 }
             }
-        });
+        })
+        .p_glitch(n);
         if let Some(e) = err {
             return Err(e);
         }
@@ -326,20 +343,13 @@ impl GuaranteeModel {
     }
 
     /// `N_max` under the per-stream glitch-rate criterion (eq. 3.3.6):
-    /// the largest `N` with `p_error(N, t, m, g) ≤ epsilon`.
+    /// the largest `N` with `p_error(N, t, m, g) ≤ epsilon`. One upward
+    /// [`Self::glitch_scan`]: `N_max + 1` minimizations.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for invalid `t` or `epsilon`.
     pub fn n_max_error(&self, t: f64, m: u64, g: u64, epsilon: f64) -> Result<u32, CoreError> {
-        validate_threshold(epsilon)?;
-        validate_round_length(t)?;
-        Ok(admission::n_max(
-            |n| {
-                self.p_error_bound(n, t, m, g)
-                    .expect("round length validated above")
-            },
-            epsilon,
-        ))
+        self.glitch_scan(t)?.n_max_error(m, g, epsilon)
     }
 
     /// Precompute the §5 admission lookup table over per-round overrun
@@ -359,10 +369,11 @@ impl GuaranteeModel {
     }
 
     /// Precompute the §5 admission lookup table over per-stream `p_error`
-    /// tolerances.
+    /// tolerances: one upward [`Self::glitch_scan`] to the largest
+    /// threshold's `N_max + 1`.
     ///
     /// # Errors
-    /// Propagates threshold-validation errors.
+    /// Propagates round-length and threshold-validation errors.
     pub fn admission_table_error(
         &self,
         t: f64,
@@ -370,10 +381,8 @@ impl GuaranteeModel {
         g: u64,
         thresholds: &[f64],
     ) -> Result<AdmissionTable, CoreError> {
-        validate_round_length(t)?;
-        AdmissionTable::build(thresholds, |n| {
-            self.p_error_bound(n, t, m, g).expect("validated above")
-        })
+        let mut scan = self.glitch_scan(t)?;
+        AdmissionTable::build(thresholds, |n| scan.p_error(n, m, g))
     }
 
     /// The deterministic worst-case admission limit (eq. 4.1) for this
@@ -394,7 +403,7 @@ impl GuaranteeModel {
     }
 }
 
-fn validate_threshold(x: f64) -> Result<(), CoreError> {
+pub(crate) fn validate_threshold(x: f64) -> Result<(), CoreError> {
     if !(x > 0.0) || x > 1.0 {
         return Err(CoreError::Invalid(format!(
             "probability threshold must be in (0, 1], got {x}"
@@ -418,6 +427,73 @@ mod tests {
 
     fn model() -> GuaranteeModel {
         GuaranteeModel::paper_reference().unwrap()
+    }
+
+    /// Eq. 3.3.3 as one fresh left-to-right fold of the clamped
+    /// `p_late(k)` bounds per `n`: the per-call definition the prefix
+    /// scan must reproduce bit for bit.
+    fn reference_p_glitch(m: &GuaranteeModel, n: u32, t: f64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        let sum: f64 = (1..=n)
+            .map(|k| {
+                let r = m.round_service(k).unwrap();
+                r.p_late_bound(t).probability.clamp(0.0, 1.0)
+            })
+            .sum();
+        (sum / f64::from(n)).min(1.0)
+    }
+
+    fn reference_p_error(m: &GuaranteeModel, n: u32, t: f64, rounds: u64, g: u64) -> f64 {
+        glitch::stream_error_bound(reference_p_glitch(m, n, t), rounds, g)
+    }
+
+    #[test]
+    fn glitch_scan_matches_the_per_call_fold_bit_for_bit() {
+        let clean = model();
+        let faulty = clean
+            .with_faults(&mzd_fault::FaultModel {
+                p_media: 0.01,
+                ..mzd_fault::FaultModel::clean()
+            })
+            .unwrap();
+        // (t, M, g, ε): the paper's target and two other operating points.
+        let targets = [
+            (1.0, 1200, 12, 0.01),
+            (1.0, 1000, 2, 0.001),
+            (0.8, 600, 20, 0.05),
+        ];
+        for (label, m) in [("clean", &clean), ("faulty", &faulty)] {
+            for &(t, rounds, g, eps) in &targets {
+                let want = admission::n_max(|n| reference_p_error(m, n, t, rounds, g), eps);
+                let got = m.n_max_error(t, rounds, g, eps).unwrap();
+                assert_eq!(got, want, "{label} t={t} M={rounds} g={g} ε={eps}");
+                let mut scan = m.glitch_scan(t).unwrap();
+                for n in (1..=want + 1).rev() {
+                    let bits = reference_p_glitch(m, n, t).to_bits();
+                    assert_eq!(scan.p_glitch(n).to_bits(), bits, "{label} n={n}");
+                    assert_eq!(m.p_glitch_bound(n, t).unwrap().to_bits(), bits);
+                    assert_eq!(
+                        m.p_error_bound(n, t, rounds, g).unwrap().to_bits(),
+                        reference_p_error(m, n, t, rounds, g).to_bits()
+                    );
+                }
+            }
+        }
+        assert_eq!(clean.n_max_error(1.0, 1200, 12, 0.01).unwrap(), 28);
+    }
+
+    #[test]
+    fn error_table_matches_the_per_call_fold() {
+        // The eight thresholds `bench-check` times.
+        let thresholds = [0.0001, 0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25];
+        let m = model();
+        let table = m.admission_table_error(1.0, 1200, 12, &thresholds).unwrap();
+        let want = AdmissionTable::build(&thresholds, |n| reference_p_error(&m, n, 1.0, 1200, 12))
+            .unwrap();
+        assert_eq!(table, want);
+        assert_eq!(table.lookup(0.01), 28);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! tabulation, the §4 replicated validation runs and sweeps, the
 //! experiments' parameter points — are embarrassingly parallel across
 //! parameter points or replications. (The §3 `N_max` searches and the
-//! fleet round stay serial: a search is ~30 probes of microseconds,
-//! and fleet nodes share one metric registry and event sink.)
+//! fleet round stay serial: a search is ~30 Chernoff minimizations of
+//! microseconds each, and fleet nodes share one metric registry and
+//! event sink.)
 //! This crate provides the one primitive they all share: an
 //! order-preserving parallel map over an index range, backed by a
 //! process-global work-stealing pool (dependency-free, `std` threads

@@ -87,9 +87,10 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// Derive the per-disk limit from the analytic model for the given
-    /// target and round length. This is the only expensive call (a few
-    /// dozen Chernoff optimizations); store the controller and decide in
-    /// O(1) afterwards.
+    /// target and round length. This is the only expensive call: one
+    /// Chernoff minimization per candidate `1..=N_max + 1` (29 for the
+    /// paper's glitch target); store the controller, or clone it for
+    /// servers that share the model, and decide in O(1) afterwards.
     ///
     /// # Errors
     /// Propagates model-evaluation errors (invalid `t` or thresholds).

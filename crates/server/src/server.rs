@@ -327,14 +327,31 @@ pub struct VideoServer {
 
 impl VideoServer {
     /// Bring up a server: derives the admission limit from the analytic
-    /// model and initializes one round simulator per disk.
+    /// model ([`AdmissionController::from_model`]) and hands it to
+    /// [`Self::with_admission`].
     ///
     /// # Errors
     /// Propagates configuration and model errors.
     pub fn new(cfg: ServerConfig, seed: u64) -> Result<Self, ServerError> {
+        let admission =
+            AdmissionController::from_model(&cfg.model()?, cfg.round_length, cfg.target)?;
+        Self::with_admission(cfg, admission, seed)
+    }
+
+    /// Bring up a server that enforces a ready admission controller —
+    /// one whose limit was already searched, such as a fleet's
+    /// single-node `N_max` shared by every member — and initialize one
+    /// round simulator per disk. A cache with an admission safety margin
+    /// in `cfg` switches the controller to cache-aware mode.
+    ///
+    /// # Errors
+    /// Propagates configuration errors.
+    pub fn with_admission(
+        cfg: ServerConfig,
+        mut admission: AdmissionController,
+        seed: u64,
+    ) -> Result<Self, ServerError> {
         let layout = StripingLayout::new(cfg.disks)?;
-        let model = cfg.model()?;
-        let mut admission = AdmissionController::from_model(&model, cfg.round_length, cfg.target)?;
         let cache = match &cfg.cache {
             Some(settings) if settings.capacity_bytes > 0.0 => Some(
                 FragmentCache::new(CacheConfig {
@@ -571,12 +588,19 @@ impl VideoServer {
     /// queue drain and round advance rather than rescanned per call.
     #[must_use]
     pub fn per_disk_load(&self) -> Vec<u32> {
+        self.disk_loads().to_vec()
+    }
+
+    /// [`Self::per_disk_load`] borrowed: the same counts without a copy,
+    /// for callers that read the loads on every dispatch.
+    #[must_use]
+    pub fn disk_loads(&self) -> &[u32] {
         debug_assert_eq!(
             self.load,
             self.recompute_per_disk_load(),
             "incremental per-disk load out of sync with sessions"
         );
-        self.load.clone()
+        &self.load
     }
 
     /// Reference recomputation of the load vector by scanning sessions —
